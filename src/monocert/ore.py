@@ -23,6 +23,10 @@ from .polygon import (
 )
 
 
+class NotPRegular(ValueError):
+    """A prime count was asked of a split that is not exact (some residual polynomial is inseparable)."""
+
+
 @dataclass(frozen=True)
 class FactorSlot:
     """One prime ideal above p: lift, side, residual factor, and (e, f)."""
@@ -124,7 +128,7 @@ def primes_of_degree(split: PrimeSplit, d: int) -> int:
     if d < 1:
         raise ValueError("d must be positive")
     if not split.exact:
-        raise ValueError("prime-counting undefined without p-regularity")
+        raise NotPRegular("prime-counting undefined without p-regularity")
     return sum(1 for s in split.slots if s.f == d)
 
 

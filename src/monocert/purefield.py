@@ -397,6 +397,10 @@ def detect_power_decomposition(n: int, m: int, seed: int = 0) -> tuple[int, int]
     return None
 
 
+class SelfCheckError(RuntimeError):
+    """A certificate failed its own verification: a defect in the engine, never an answer."""
+
+
 def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityVerdict:
     """Power-basis generator for the field of x^n - a^u via a Bezout exponent pair.
 
@@ -429,10 +433,10 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
     for q in a_fac.prime_divisors:
         split_g = ore.ore_split(G, q, seed)
         if not split_g.exact or split_g.index_valuation != 0:
-            raise RuntimeError(f"index check failed at q={q}: expected exact valuation 0, got {split_g}")
+            raise SelfCheckError(f"index check failed at q={q}: expected exact valuation 0, got {split_g}")
         split_f = ore.ore_split(F, q, seed)
         if split_f.index_valuation < alpha_bound:
-            raise RuntimeError(f"defining-root index bound failed at q={q}")
+            raise SelfCheckError(f"defining-root index bound failed at q={q}")
         notes.append(f"q={q}: generator index valuation 0; defining-root index valuation >= {alpha_bound}")
     return MonogenityVerdict.monogenic(
         n,
@@ -496,7 +500,7 @@ def analyze(
         for p in candidates:
             try:
                 witness = ore.common_index_divisor(F, p, seed)
-            except ValueError:
+            except ore.NotPRegular:
                 notes.append(f"p={p}: splitting not p-regular; only an index lower bound is known")
                 continue
             if witness is not None:

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from monocert import ore
 from monocert.cli import main, parse_poly, render_ascii
 from monocert.polygon import IntPoly, principal_from_points
 
@@ -56,6 +57,13 @@ class TestAnalyzeCommand:
     def test_inconclusive(self, capsys):
         doc = run_json(capsys, "analyze", "--n", "3", "--m", "2")
         assert doc["verdict"]["status"] == "inconclusive"
+
+    def test_failed_self_check_exits_3(self, capsys, monkeypatch):
+        # a generator whose index check fails is an engine defect: exit 3, no traceback
+        monkeypatch.setattr(ore, "ore_split", lambda F, p, seed=0: ore.PrimeSplit(p, (), False, 0))
+        code, out, err = run_cli(capsys, "analyze", "--n", "6", "--m", str(30**5))
+        assert code == 3 and out == ""
+        assert err.startswith("error: index check failed at q=2")
 
     def test_reducible_exits_nonzero(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--n", "6", "--m", "64")

@@ -199,3 +199,95 @@ class TestExtensionField:
                         new[i + j] = new[i + j] + a * b
                 prod = new
         assert prod == f
+
+
+def _first_irreducible(p, d):
+    """The monic irreducible of degree d over F_p whose low coefficients, read in base p, are smallest."""
+    for idx in range(p**d):
+        low = list(fppoly._index_coeffs(p, idx))
+        f = FpPoly(p, low + [0] * (d - len(low)) + [1])
+        if fppoly.is_irreducible(f):
+            return f
+
+
+def _ext_product(K, factors):
+    prod = [K.one]
+    for g, mult in factors:
+        for _ in range(mult):
+            prod = K.pmul(prod, list(g))
+    return prod
+
+
+class TestFlatBackends:
+    """fq_factor on the flat backends against the FqElement-backed _ExtField reference."""
+
+    # (p, deg phi): q = p, Zech fields up to 2**10, and 37**2 just above it
+    FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2**31 - 1, 1)]
+    FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 10), (37, 2)]
+
+    def _inputs(self, K, rng):
+        """Random polynomials, products with repeated and equal-degree factors, and g(y^p)."""
+
+        def rand_poly(deg):
+            lead = K.rand(rng)
+            while lead == K.zero:
+                lead = K.rand(rng)
+            return [K.rand(rng) for _ in range(deg)] + [lead]
+
+        out = [rand_poly(rng.randint(1, 6)) for _ in range(3)]
+        linears = [rand_poly(1) for _ in range(3)]
+        out.append(_ext_product(K, [(g, 1) for g in linears] + [(rand_poly(2), 2)]))
+        if K.char <= 7:
+            g = rand_poly(2)
+            spread = [K.zero] * (K.char * (len(g) - 1) + 1)
+            spread[:: K.char] = g
+            out.append(spread)
+        return out
+
+    @pytest.mark.parametrize("p,d", FIELDS)
+    def test_matches_reference(self, p, d):
+        base = _first_irreducible(p, d)
+        K = fppoly._ExtField(base)
+        rng = random.Random(f"fq:{p}:{d}")
+        for f in self._inputs(K, rng):
+            seed = rng.randrange(100)
+            got = fppoly.fq_factor(f, seed=seed)
+            want = fppoly._factor_list(K, list(f), random.Random(seed))
+            assert got == tuple((tuple(g), m) for g, m in want)
+            assert _ext_product(K, got) == fppoly._pmonic(K, f)
+            assert all(g[-1] == K.one for g, _ in got)
+            assert fppoly.fq_is_separable(f) == all(m == 1 for _, m in got)
+
+    @pytest.mark.parametrize(
+        "p,d,backend",
+        [(2**31 - 1, 1, "_PrimeField"), (2, 2, "_ZechField"), (2, 10, "_ZechField"), (37, 2, "_ExtField")],
+    )
+    def test_backend_by_order(self, p, d, backend):
+        base = _first_irreducible(p, d)
+        K, _, _ = fppoly._fq_backend([FqElement.one(base)])
+        assert type(K).__name__ == backend
+
+    def test_base_mismatch_rejected(self):
+        one9, one4 = FqElement.one(P(3, 1, 0, 1)), FqElement.one(P(2, 1, 1, 1))
+        with pytest.raises(ValueError, match="mismatch"):
+            fppoly.fq_factor([one9, one4])
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 10)])
+    def test_zech_tables(self, p, d):
+        base = _first_irreducible(p, d)
+        K = fppoly._ZechField(base)
+        q = p**d
+        assert len(K.exp) == len(K.zech) == q - 1 and len(K.log) == q
+        # exp and log are inverse bijections between logs 0..q-2 and nonzero residues
+        assert sorted(K.exp) == list(range(1, q))
+        assert K.log[0] == -1
+        assert all(K.log[K.exp[k]] == k for k in range(q - 1))
+        # exp walks the powers of one generator, checked with FqElement arithmetic
+        g, power = K.to_fq(1), FqElement.one(base)
+        one = FqElement.one(base)
+        for k in range(q - 1):
+            assert K.to_fq(k) == power
+            assert K.from_fq(power) == k
+            assert K.zech[k] == K.from_fq(one + power)  # zech[d] = log(1 + g^d)
+            power = power * g
+        assert power == one

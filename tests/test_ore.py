@@ -131,6 +131,11 @@ class TestPrimesOfDegree:
         with pytest.raises(ValueError, match="regular"):
             ore.primes_of_degree(split, 1)
 
+    def test_inexact_raises_not_p_regular(self):
+        split = ore.ore_split(IntPoly.binomial(2, 12), 2)
+        with pytest.raises(ore.NotPRegular):
+            ore.primes_of_degree(split, 1)
+
 
 class TestCommonIndexDivisor:
     def test_quartic_witness(self):

@@ -269,6 +269,20 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="reducible"):
             purefield.analyze(6, 64)
 
+    def test_not_p_regular_note(self):
+        v = purefield.analyze(4, 12)
+        assert v.status == "inconclusive"
+        assert "p=2: splitting not p-regular; only an index lower bound is known" in v.notes
+
+    def test_direct_route_errors_propagate(self, monkeypatch):
+        # only NotPRegular means "not p-regular"; any other ValueError is a defect and surfaces
+        def broken(F, p, seed=0):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(ore, "ore_split", broken)
+        with pytest.raises(ValueError, match="injected fault"):
+            purefield.analyze(4, 12)
+
     def test_degree_budget(self):
         v = purefield.analyze(3, 2, split_degree_budget=2)
         assert v.status == "inconclusive"
