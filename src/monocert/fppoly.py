@@ -9,14 +9,17 @@ over any of three field backends:
 
 * `_PrimeField`: F_p with int elements.  `factor` uses it, and so does F_q
   when deg phi = 1, with an element's constant coefficient as the int.
-* `_ZechField`: F_q for deg phi >= 2 and q <= _ZECH_MAX_ORDER = 2**10.  An
+* `_ZechField`: F_q for deg phi >= 2 and q <= _ZECH_MAX_ORDER = 81.  An
   element is its discrete log to a primitive element (-1 for zero): multiply
   adds logs, inverse negates, add is one Zech-table lookup.  The exp, log
-  and Zech tables are built on first use of a field and cached for the last
-  64 (p, phi).  The threshold bounds their cost, about 3*q ints per field:
-  a field of order 2**10 takes about 75 KB and 35 ms to build, one of order
-  2**16 would take 5.7 MB and 3.5 s (Python 3.11, 2-vCPU Xeon), more than
-  the benchmark's 10% bound on a peak RSS of about 25 MB.
+  and Zech tables (about 3*q ints) are built on first use of a field and
+  cached for the last 64 (p, phi).  The threshold is the measured
+  crossover (Python 3.11, 2-vCPU Xeon).  On sampled `analyze(n, m)` calls
+  whose residue fields have 8 < q <= 81, Zech with the tables built anew
+  for every call took 691 ms against 915 ms on `FqElement`.  On calls whose
+  fields have 81 < q <= 1024 (n = 20-46, m < 200), a table costs 1-15 ms
+  and the residual polynomials are mostly linear: Zech took 389 ms cold and
+  145 ms warm against 227 ms, so a one-shot call would pay for the tables.
 * `_ExtField`: F_q with `FqElement` elements (residues wrapping `FpPoly`),
   the backend above the threshold and the reference the others are tested
   against.
@@ -593,8 +596,8 @@ class _ExtField(_Field):
         return a.rep.coeffs
 
 
-# Largest residue field with Zech tables: they cost about 3*q ints per field.
-_ZECH_MAX_ORDER = 2**10
+# Largest residue field with Zech tables; above it a cold table costs more than it saves.
+_ZECH_MAX_ORDER = 81
 
 
 def _fq_backend(coeffs: list) -> tuple:

@@ -221,9 +221,9 @@ def _ext_product(K, factors):
 class TestFlatBackends:
     """fq_factor on the flat backends against the FqElement-backed _ExtField reference."""
 
-    # (p, deg phi): q = p, Zech fields up to 2**10, and 37**2 just above it
+    # (p, deg phi): q = p, Zech fields up to 81, and 2**7, 2**10 and 37**2 above it
     FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2**31 - 1, 1)]
-    FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 10), (37, 2)]
+    FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 7), (2, 10), (37, 2)]
 
     def _inputs(self, K, rng):
         """Random polynomials, products with repeated and equal-degree factors, and g(y^p)."""
@@ -257,10 +257,22 @@ class TestFlatBackends:
             assert _ext_product(K, got) == fppoly._pmonic(K, f)
             assert all(g[-1] == K.one for g, _ in got)
             assert fppoly.fq_is_separable(f) == all(m == 1 for _, m in got)
+            if d >= 2:
+                # the Zech engine itself, also for fields fq_factor leaves to _ExtField
+                Z = fppoly._ZechField(base)
+                zech = fppoly._factor_list(Z, [Z.from_fq(c) for c in f], random.Random(seed))
+                assert tuple((tuple(Z.to_fq(c) for c in g), m) for g, m in zech) == got
 
     @pytest.mark.parametrize(
         "p,d,backend",
-        [(2**31 - 1, 1, "_PrimeField"), (2, 2, "_ZechField"), (2, 10, "_ZechField"), (37, 2, "_ExtField")],
+        [
+            (2**31 - 1, 1, "_PrimeField"),
+            (2, 2, "_ZechField"),
+            (3, 4, "_ZechField"),
+            (2, 7, "_ExtField"),
+            (2, 10, "_ExtField"),
+            (37, 2, "_ExtField"),
+        ],
     )
     def test_backend_by_order(self, p, d, backend):
         base = _first_irreducible(p, d)
