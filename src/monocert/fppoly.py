@@ -155,6 +155,9 @@ class FpPoly:
 
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         self._same(other)
+        if len(self.coeffs) < len(other.coeffs):
+            # already reduced (residual-polynomial units mostly are): no copy
+            return FpPoly._wrap(self.p, []), self
         quot, rem = _PrimeField(self.p).pdivmod(self.coeffs, other.coeffs)
         return FpPoly._wrap(self.p, quot), FpPoly._wrap(self.p, rem)
 
