@@ -50,12 +50,6 @@ class IntFactorization:
     def prime_divisors(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     @property
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)

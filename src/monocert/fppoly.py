@@ -1,11 +1,16 @@
 """Polynomial arithmetic and factorization over F_p and residue fields F_q = F_p[x]/(phi).
 
-Moduli are primes below 2**31.  `FpPoly` is an immutable dense polynomial
-whose multiply and divmod are the one F_p kernel (`_PrimeField.pmul` and
-`_PrimeField.pdivmod`: plain int loops, one `% p` per output coefficient).
-A single generic engine (squarefree decomposition, distinct-degree, seeded
-equal-degree splitting) factors polynomials, stored as lists of elements,
-over any of three field backends:
+Moduli are primes below 2**31.  All polynomial arithmetic is one engine on
+coefficient lists (ascending, trimmed, [] is zero) over a field backend: the
+`_p*` functions (add, subtract, scale, monic, derivative, gcd, inverse modulo
+a polynomial, power modulo a polynomial) and each backend's `pmul`/`pdivmod`.
+Over F_p those two are the int kernel of `_PrimeField`, whose multiply is the
+dense integer product `_int_pmul` that `polygon.IntPoly` multiplies with too.
+`FpPoly` and `FqElement` are immutable value types whose operators wrap the
+engine over `_PrimeField(p)`; the Rabin irreducibility and separability tests
+run on the lists directly.  The same engine factors polynomials (squarefree
+decomposition, distinct-degree, seeded equal-degree splitting) over any of
+three field backends:
 
 * `_PrimeField`: F_p with int elements.  `factor` uses it, and so does F_q
   when deg phi = 1, with an element's constant coefficient as the int.
@@ -74,7 +79,10 @@ def _fmt_poly(coeffs: Sequence, var: str = "x") -> str:
 
 
 class FpPoly:
-    """Dense polynomial over F_p; coefficients reduced, no trailing zeros."""
+    """Dense polynomial over F_p; coefficients reduced, no trailing zeros.
+
+    A value type: its operators wrap the list engine over `_PrimeField(p)`.
+    """
 
     __slots__ = ("p", "coeffs")
 
@@ -133,25 +141,21 @@ class FpPoly:
 
     def __add__(self, other: "FpPoly") -> "FpPoly":
         self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return FpPoly(self.p, [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+        return FpPoly._wrap(self.p, _padd(_PrimeField(self.p), self.coeffs, other.coeffs))
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return FpPoly(self.p, [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+        return FpPoly._wrap(self.p, _psub(_PrimeField(self.p), self.coeffs, other.coeffs))
 
     def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, [-c for c in self.coeffs])
+        return FpPoly._wrap(self.p, _psub(_PrimeField(self.p), [], self.coeffs))
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._same(other)
         return FpPoly._wrap(self.p, _PrimeField(self.p).pmul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "FpPoly":
-        return FpPoly(self.p, [c * a for a in self.coeffs])
+        return FpPoly._wrap(self.p, _pscale(_PrimeField(self.p), self.coeffs, c))
 
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         self._same(other)
@@ -160,9 +164,6 @@ class FpPoly:
             return FpPoly._wrap(self.p, []), self
         quot, rem = _PrimeField(self.p).pdivmod(self.coeffs, other.coeffs)
         return FpPoly._wrap(self.p, quot), FpPoly._wrap(self.p, rem)
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return divmod(self, other)[1]
@@ -183,27 +184,13 @@ class FpPoly:
         self._same(mod)
         if e < 0:
             raise ValueError("negative power")
-        out, base = FpPoly.one(self.p) % mod, self % mod
-        while e:
-            if e & 1:
-                out = out * base % mod
-            base = base * base % mod
-            e >>= 1
-        return out
+        return FpPoly._wrap(self.p, _ppow_mod(_PrimeField(self.p), self.coeffs, e, mod.coeffs))
 
     def monic(self) -> "FpPoly":
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(pow(self.lc, -1, self.p))
+        return FpPoly._wrap(self.p, _pmonic(_PrimeField(self.p), self.coeffs))
 
     def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, a: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.p
-        return acc
+        return FpPoly._wrap(self.p, _pderiv(_PrimeField(self.p), self.coeffs))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FpPoly) and other.p == self.p and other.coeffs == self.coeffs
@@ -221,27 +208,7 @@ class FpPoly:
 def gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     """Monic greatest common divisor."""
     a._same(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def xgcd(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly, FpPoly]:
-    """(g, s, t) with g = s*a + t*b, g monic."""
-    a._same(b)
-    p = a.p
-    r0, r1 = a, b
-    s0, s1 = FpPoly.one(p), FpPoly.zero(p)
-    t0, t1 = FpPoly.zero(p), FpPoly.one(p)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    c = pow(r0.lc, -1, p)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    return FpPoly._wrap(a.p, _pgcd(_PrimeField(a.p), a.coeffs, b.coeffs))
 
 
 class FqElement:
@@ -301,10 +268,10 @@ class FqElement:
     def inverse(self) -> "FqElement":
         if self.is_zero:
             raise ZeroDivisionError("inverting zero field element")
-        g, s, _ = xgcd(self.rep, self.base)
-        if g.degree != 0:
+        inv = _pinv_mod(_PrimeField(self.base.p), self.rep.coeffs, self.base.coeffs)
+        if inv is None:
             raise ValueError("base is not irreducible: residue has no inverse")
-        return FqElement(self.base, s.scale(pow(g.coeffs[0], -1, self.base.p)))
+        return FqElement(self.base, FpPoly._wrap(self.base.p, inv))
 
     def __truediv__(self, other: "FqElement") -> "FqElement":
         return self * other.inverse()
@@ -312,13 +279,7 @@ class FqElement:
     def __pow__(self, e: int) -> "FqElement":
         if e < 0:
             return self.inverse() ** (-e)
-        out, base = FqElement.one(self.base), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return FqElement(self.base, self.rep.pow_mod(e, self.base))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FqElement) and other.base == self.base and other.rep == self.rep
@@ -355,7 +316,7 @@ class _Field:
     def pdivmod(self, f, g):
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
-        zero, sub, mul = self.zero, self.sub, self.mul
+        zero, add, neg, mul = self.zero, self.add, self.neg, self.mul
         rem = list(f)
         n = len(g) - 1
         if len(rem) <= n:
@@ -367,8 +328,9 @@ class _Field:
             if c == zero:
                 continue
             quot[k] = c
+            minus_c = neg(c)
             for j, d in enumerate(g, k):
-                rem[j] = sub(rem[j], mul(c, d))
+                rem[j] = add(rem[j], mul(minus_c, d))
         return _trim(self, quot), _trim(self, rem[:n])
 
 
@@ -388,9 +350,6 @@ class _PrimeField(_Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def neg(self, a):
         return -a % self.p
@@ -413,18 +372,8 @@ class _PrimeField(_Field):
     # Coefficients accumulate unreduced and take one `% p` each when read.
 
     def pmul(self, f, g):
-        if not f or not g:
-            return []
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g, i):
-                    out[j] += a * b
         p = self.p
-        out = [c % p for c in out]
-        while out and not out[-1]:
-            out.pop()
-        return out
+        return _trim(self, [c % p for c in _int_pmul(f, g)])
 
     def pdivmod(self, f, g):
         if not g:
@@ -443,10 +392,7 @@ class _PrimeField(_Field):
                 quot[k] = c
                 for j, d in enumerate(low, k):
                     rem[j] -= c * d
-        rem = [c % p for c in rem[:n]]
-        while rem and not rem[-1]:
-            rem.pop()
-        return quot, rem
+        return quot, _trim(self, [c % p for c in rem[:n]])
 
 
 def _coeff_index(p: int, coeffs: Sequence[int]) -> int:
@@ -506,9 +452,6 @@ class _ZechField(_Field):
             return a
         z = self.zech[(b - a) % self._qm1]
         return z if z < 0 else (a + z) % self._qm1
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         return a if a < 0 else (a + self._neg_one) % self._qm1
@@ -577,9 +520,6 @@ class _ExtField(_Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 
@@ -623,24 +563,28 @@ def _trim(K, f):
     return f
 
 
+def _int_pmul(f, g):
+    """Dense product of integer coefficient sequences, unreduced; IntPoly and _PrimeField share it."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
 def _padd(K, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else K.zero
-        b = g[i] if i < len(g) else K.zero
-        out.append(K.add(a, b))
+    if len(f) < len(g):
+        f, g = g, f
+    out = [K.add(a, b) for a, b in zip(f, g)]
+    out += f[len(g) :]
     return _trim(K, out)
 
 
 def _psub(K, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else K.zero
-        b = g[i] if i < len(g) else K.zero
-        out.append(K.sub(a, b))
-    return _trim(K, out)
+    return _padd(K, f, [K.neg(b) for b in g])
 
 
 def _pscale(K, f, c):
@@ -662,6 +606,20 @@ def _pgcd(K, f, g):
     while g:
         f, g = g, _pmod(K, f, g)
     return _pmonic(K, f)
+
+
+def _pinv_mod(K, f, mod):
+    """The inverse of f modulo mod by extended Euclid, or None when gcd(f, mod) != 1."""
+    r0, r1 = list(mod), list(f)
+    s0, s1 = [], [K.one]
+    # invariant: s_i * f = r_i modulo mod
+    while r1:
+        quot, rem = K.pdivmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _psub(K, s0, K.pmul(quot, s1))
+    if len(r0) != 1:
+        return None
+    return _pscale(K, s0, K.inv(r0[0]))
 
 
 def _ppow_mod(K, f, e, mod):
@@ -753,8 +711,8 @@ def _factor_list(K, f, rng):
     """[(monic irreducible, multiplicity)], canonically sorted."""
     found = []
     parts = []
-    # inline squarefree decomposition (see _squarefree_parts; kept here so the
-    # accumulated parts are returned)
+    # squarefree decomposition, inline because its parts and their
+    # multiplicities feed distinct-degree factoring directly
     p = K.char
     n = 1
     g = _pmonic(K, f)
@@ -823,7 +781,8 @@ def is_separable(f: FpPoly) -> bool:
     """True iff gcd(f, f') = 1."""
     if f.is_zero:
         raise ValueError("separability of zero undefined")
-    return gcd(f, f.derivative()).degree == 0
+    K = _PrimeField(f.p)
+    return len(_pgcd(K, f.coeffs, _pderiv(K, f.coeffs))) == 1
 
 
 def is_irreducible(f: FpPoly) -> bool:
@@ -833,13 +792,13 @@ def is_irreducible(f: FpPoly) -> bool:
         return False
     if n == 1:
         return True
-    p = f.p
-    x = FpPoly.x(p)
-    if x.pow_mod(p**n, f) != x % f:
+    p, K = f.p, _PrimeField(f.p)
+    x = [0, 1]  # reduced modulo f, as n >= 2
+    if _ppow_mod(K, x, p**n, f.coeffs) != x:
         return False
-    for ell in {q for q, _ in arith.factorize(n).factors}:
-        h = x.pow_mod(p ** (n // ell), f) - x
-        if gcd(h, f).degree != 0:
+    for ell in arith.factorize(n).prime_divisors:
+        h = _psub(K, _ppow_mod(K, x, p ** (n // ell), f.coeffs), x)
+        if len(_pgcd(K, h, f.coeffs)) != 1:
             return False
     return True
 

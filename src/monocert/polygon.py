@@ -12,11 +12,15 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import arith
-from .fppoly import FpPoly, FqElement, _fmt_poly, is_irreducible
+from .fppoly import FpPoly, FqElement, _fmt_poly, _int_pmul, is_irreducible
 
 
 class IntPoly:
-    """Dense polynomial with arbitrary-precision integer coefficients."""
+    """Dense polynomial with arbitrary-precision integer coefficients.
+
+    A value type; its multiply is the integer product loop `fppoly._int_pmul`
+    that the F_p kernel reduces mod p.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -79,25 +83,7 @@ class IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out, base = IntPoly.const(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return IntPoly(_int_pmul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly([c * a for a in self.coeffs])
@@ -119,9 +105,6 @@ class IntPoly:
                 for j, d in enumerate(dv):
                     rem[k + j] -= c * d
         return IntPoly(quot), IntPoly(rem[: len(dv) - 1])
-
-    def __floordiv__(self, other: "IntPoly") -> "IntPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[1]
@@ -421,7 +404,7 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
             coeffs.append(FqElement.zero(phi_bar))
         else:
             unit = part.exact_div_scalar(p**v)
-            coeffs.append(FqElement(phi_bar, unit.reduce_mod(p) % phi_bar))
+            coeffs.append(FqElement(phi_bar, unit.reduce_mod(p)))
     if coeffs[0].is_zero or coeffs[-1].is_zero:
         raise ValueError("side endpoints must lie on the polygon")
     return ResidualPolynomial(phi_bar, side, tuple(coeffs))

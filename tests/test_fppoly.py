@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,14 @@ from monocert.fppoly import FpPoly, FqElement
 
 def P(p, *coeffs):
     return FpPoly(p, coeffs)
+
+
+def _naive_mul(f, g):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 class TestRingOps:
@@ -53,6 +62,44 @@ class TestRingOps:
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        fc=st.lists(st.integers(-20, 20), max_size=8),
+        gc=st.lists(st.integers(-20, 20), max_size=6),
+        mc=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+        k=st.integers(-30, 30),
+        e=st.integers(0, 6),
+    )
+    def test_wrappers_match_naive_loops(self, p, fc, gc, mc, k, e):
+        f, g, zero = FpPoly(p, fc), FpPoly(p, gc), FpPoly.zero(p)
+        pairs = list(zip_longest(fc, gc, fillvalue=0))
+        assert f + g == FpPoly(p, [a + b for a, b in pairs])
+        assert f - g == FpPoly(p, [a - b for a, b in pairs])
+        assert -f == FpPoly(p, [-a for a in fc])
+        assert f.scale(k) == FpPoly(p, [k * a for a in fc])
+        assert f.scale(k * p) == zero
+        assert f.derivative() == FpPoly(p, [i * a for i, a in enumerate(fc)][1:])
+        assert FpPoly(p, [0] * p + [1]).derivative() == zero  # d/dx x^p = p x^(p-1) = 0
+        monic = f.monic()
+        if f.is_zero:
+            assert monic == zero
+        else:
+            assert monic == FpPoly(p, [a * pow(f.lc, -1, p) for a in f.coeffs])
+            assert monic.monic() == monic
+        assert fppoly.gcd(f, zero) == fppoly.gcd(zero, f) == monic
+        h = fppoly.gcd(f, g)
+        if not h.is_zero:
+            assert h.is_monic and (f % h).is_zero and (g % h).is_zero
+        for m in (FpPoly(p, mc), FpPoly(p, [k % p or 1])):  # the second has degree 0
+            if m.is_zero:
+                continue
+            want = FpPoly.one(p) % m
+            for _ in range(e):
+                want = FpPoly(p, _naive_mul(want.coeffs, f.coeffs)) % m
+            assert f.pow_mod(e, m) == want
+            with pytest.raises(ValueError, match="negative power"):
+                f.pow_mod(-1 - e, m)
 
 
 class TestFactor:
@@ -152,6 +199,26 @@ class TestExtensionField:
         assert (a * a.inverse()) == FqElement.one(base)
         with pytest.raises(ZeroDivisionError):
             FqElement.zero(base).inverse()
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (3, 4), (2, 7), (3, 6), (2, 10), (37, 2)])
+    def test_inverse_by_field_size(self, p, d):
+        # q = 4, 9 and 81 (Zech tables), then 128, 729, 1024 and 1369, where _ExtField inverts
+        base = _first_irreducible(p, d)
+        q, one = p**d, FqElement.one(base)
+        rng = random.Random(f"inverse:{p}:{d}")
+        for _ in range(20):
+            a = FqElement(base, FpPoly(p, [rng.randrange(p) for _ in range(d)]))
+            if a.is_zero:
+                continue
+            assert a * a.inverse() == one
+            assert a.inverse() == a ** (q - 2)
+
+    def test_inverse_reducible_base(self):
+        base = P(5, 1, 0, 1)  # x^2 + 1 = (x + 2)(x + 3) mod 5
+        with pytest.raises(ValueError, match="not irreducible"):
+            FqElement(base, P(5, 2, 1)).inverse()
+        unit = FqElement(base, P(5, 1, 1))  # coprime to the base, so still invertible
+        assert unit * unit.inverse() == FqElement.one(base)
 
     def test_pow(self):
         base = self._base()
