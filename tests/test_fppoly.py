@@ -202,7 +202,7 @@ class TestExtensionField:
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (3, 4), (2, 7), (3, 6), (2, 10), (37, 2)])
     def test_inverse_by_field_size(self, p, d):
-        # q = 4, 9 and 81 (Zech tables), then 128, 729, 1024 and 1369, where _ExtField inverts
+        # q = 4, 9 and 81 (fq_factor uses Zech tables), then 128, 729, 1024 and 1369 (_ExtField inverts there)
         base = _first_irreducible(p, d)
         q, one = p**d, FqElement.one(base)
         rng = random.Random(f"inverse:{p}:{d}")
