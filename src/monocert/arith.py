@@ -1,7 +1,7 @@
 """Integer arithmetic base layer: valuations, factorization, Bezout, irreducible counts.
 
-Everything here is exact big-integer arithmetic.  Randomized steps (rho
-splitting) draw from an explicit seed so results are reproducible.
+Everything here is exact big-integer arithmetic.  Factoring trial-divides
+below 2^12, then splits by rho drawing from an explicit seed (reproducible).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-_TRIAL_BOUND = 10**6
+_TRIAL_BOUND = 2**12
 
 # Strong-pseudoprime bases proving primality below 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -169,7 +169,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 
 
 def factorize(n: int, seed: int = 0) -> IntFactorization:
-    """Complete factorization: trial division below 1e6, then seeded rho."""
+    """Complete factorization: trial division below 2^12, then seeded Brent rho."""
     if n == 0:
         raise ValueError("cannot factorize zero")
     value = n

@@ -56,6 +56,16 @@ def binomial_irreducible(n: int, m: int) -> bool:
     return True
 
 
+def _check_field(n: int, m: int) -> None:
+    """Raise ValueError unless n >= 3, |m| >= 2 and x^n - m is irreducible over Q."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    if abs(m) < 2:
+        raise ValueError("|m| >= 2 required")
+    if not binomial_irreducible(n, m):
+        raise ValueError(f"x^{n} - ({m}) is reducible over Q")
+
+
 @dataclass(frozen=True)
 class PureFieldSpec:
     """Validated parameters of the field generated by a root of x^n - m."""
@@ -67,12 +77,7 @@ class PureFieldSpec:
 
     @classmethod
     def create(cls, n: int, m: int, seed: int = 0) -> "PureFieldSpec":
-        if n < 3:
-            raise ValueError("n >= 3 required")
-        if abs(m) < 2:
-            raise ValueError("|m| >= 2 required")
-        if not binomial_irreducible(n, m):
-            raise ValueError(f"x^{n} - ({m}) is reducible over Q")
+        _check_field(n, m)
         return cls(n, m, arith.factorize(n, seed), arith.factorize(m, seed))
 
 
@@ -375,26 +380,23 @@ def corollary_checks(family: str, r: int, s: int, m: int, *, nu_cap: int = 64, s
 
 
 def detect_power_decomposition(n: int, m: int, seed: int = 0) -> tuple[int, int] | None:
-    """(a, u) with m = a^u satisfying the generator-construction hypotheses, largest u."""
-    fac = arith.factorize(m, seed)
-    n_primes = set(arith.factorize(n, seed).prime_divisors)
-    g = 0
-    for _, e in fac.factors:
-        g = math.gcd(g, e)
-    for u in sorted((d for d in range(2, g + 1) if g % d == 0), reverse=True):
-        if m < 0 and u % 2 == 0:
-            continue
-        if math.gcd(u, n) != 1:
-            continue
-        if any(e != u for _, e in fac.factors):
-            continue  # the u-th root must be squarefree
-        a = fac.sign * math.prod(fac.prime_divisors)
-        if abs(a) < 2:
-            continue
-        if not n_primes <= set(fac.prime_divisors):
-            continue
-        return a, u
-    return None
+    """(a, u) with m = a^u satisfying the generator-construction hypotheses, largest u.
+
+    Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b, so m
+    is factored only when it is a perfect power, and then only its root b, once
+    the sign, gcd(u, n) and the primes of n pass.
+    """
+    for u in range(abs(m).bit_length(), 1, -1):
+        b = _iroot(abs(m), u)
+        if b**u == abs(m):
+            break
+    else:
+        return None
+    if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
+        return None
+    if any(b % p for p in arith.factorize(n, seed).prime_divisors) or not arith.factorize(b, seed).is_squarefree:
+        return None
+    return (-b if m < 0 else b), u
 
 
 class SelfCheckError(RuntimeError):
@@ -473,13 +475,14 @@ def analyze(
 ) -> MonogenityVerdict:
     """Full verdict pipeline for x^n - m.
 
-    Order: generator construction when m decomposes as a^u under its
-    hypotheses; then the splitting-count criterion; then direct splits with
-    the common-index-divisor test at every prime of n*m below n (degree
-    permitting).  Anything else is an honest Inconclusive -- no positive
-    monogenity claim is ever made outside the verified construction.
+    Order: generator construction when m = a^u under its hypotheses (m is
+    factored only when it is a perfect power, and then only its root); then the
+    splitting-count criterion; then direct splits with the common-index-divisor
+    test at every prime of n*m below n (degree permitting).  Otherwise an
+    honest Inconclusive: monogenity is claimed only through the verified
+    construction.
     """
-    PureFieldSpec.create(n, m, seed)
+    _check_field(n, m)
     notes: list[str] = []
     decomp = detect_power_decomposition(n, m, seed)
     if decomp is not None:
@@ -492,11 +495,7 @@ def analyze(
     notes.append("splitting-count criterion did not fire")
     if n <= split_degree_budget:
         F = IntPoly.binomial(n, m)
-        candidates = sorted(
-            p
-            for p in set(arith.factorize(n, seed).prime_divisors) | set(arith.factorize(m, seed).prime_divisors)
-            if p < n
-        )
+        candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
         for p in candidates:
             try:
                 witness = ore.common_index_divisor(F, p, seed)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,29 @@ class TestFactorize:
         assert f.reconstruct() == n
         assert all(arith.is_prime(p) for p, _ in f.factors)
         assert list(f.prime_divisors) == sorted(f.prime_divisors)
+
+
+# primes between the trial-division bound 2^12 and 10^6: the rho path, not trial division, finds them
+_PAST_TRIAL = (4099, 4111, 65537, 524287, 999983)
+_PAST_TRIAL_CASES = (
+    [((p, k),) for p in _PAST_TRIAL for k in range(2, 6)]
+    + [tuple(sorted(((p, 2), (q, 1)))) for p, q in itertools.permutations(_PAST_TRIAL, 2)]
+    + [tuple((p, 1) for p in trio) for trio in itertools.combinations(_PAST_TRIAL, 3)]
+    + [((p, 1),) for p in (4099, 4111, 4127, 4129)]
+    + [((2, 3), (3, 1), (4099, 2), (999983, 1))]
+)
+
+
+class TestFactorizePastTrialBound:
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("factors", _PAST_TRIAL_CASES)
+    def test_factors_reconstruct_and_seed_independence(self, factors, sign):
+        value = sign * math.prod(p**e for p, e in factors)
+        f = arith.factorize(value, seed=0)
+        assert f.factors == factors
+        assert f.sign == sign
+        assert f.reconstruct() == value
+        assert arith.factorize(value, seed=5) == f
 
 
 class TestSquarefree:

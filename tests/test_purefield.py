@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
 from monocert.polygon import IntPoly, discriminant, phi_expand, principal_polygon
@@ -242,6 +245,90 @@ class TestDetectPowerDecomposition:
         assert purefield.detect_power_decomposition(6, 30) is None  # u = 1 only
         assert purefield.detect_power_decomposition(10, 9) is None  # 3 misses the primes of 10
         assert purefield.detect_power_decomposition(9, 64) is None  # gcd(u, n) > 1 for u in {2, 3, 6}
+
+
+def _power_decomposition_oracle(n, m):
+    """The exponent-gcd rule: factor m, then try the divisors u of the gcd g of its exponents, largest first."""
+    fac = arith.factorize(m)
+    n_primes = set(arith.factorize(n).prime_divisors)
+    g = 0
+    for _, e in fac.factors:
+        g = math.gcd(g, e)
+    for u in sorted((d for d in range(2, g + 1) if g % d == 0), reverse=True):
+        if m < 0 and u % 2 == 0:
+            continue
+        if math.gcd(u, n) != 1:
+            continue
+        if any(e != u for _, e in fac.factors):
+            continue  # the u-th root must be squarefree
+        a = fac.sign * math.prod(fac.prime_divisors)
+        if abs(a) < 2:
+            continue
+        if not n_primes <= set(fac.prime_divisors):
+            continue
+        return a, u
+    return None
+
+
+class TestDetectPowerDecompositionOracle:
+    @given(
+        a=st.integers(min_value=2, max_value=60),
+        u=st.integers(min_value=1, max_value=8),
+        c=st.one_of(st.just(1), st.integers(min_value=1, max_value=30)),
+        sign=st.sampled_from((1, -1)),
+        n=st.integers(min_value=3, max_value=40),
+    )
+    @example(a=6, u=2, c=1, sign=-1, n=5)  # negative m with even u
+    @example(a=12, u=5, c=1, sign=1, n=6)  # non-squarefree root
+    @example(a=10, u=3, c=1, sign=-1, n=15)  # root misses the prime 3 of n
+    @example(a=30, u=3, c=1, sign=1, n=6)  # gcd(u, n) = 3
+    @example(a=30, u=5, c=1, sign=-1, n=6)  # every hypothesis holds
+    @example(a=2, u=4, c=2, sign=1, n=3)  # 2^4 * 2 = 2^5
+    def test_matches_exponent_gcd_rule(self, a, u, c, sign, n):
+        m = sign * a**u * c
+        got = purefield.detect_power_decomposition(n, m)
+        assert got == _power_decomposition_oracle(n, m)
+        if got is not None:
+            assert got[0] ** got[1] == m
+
+
+class TestFactorOnlyWhatARouteNeeds:
+    @pytest.fixture
+    def factorized(self, monkeypatch):
+        """Absolute values factorize was called on; a call above 2^64 fails the test at once."""
+        calls = []
+        original = arith.factorize
+
+        def guarded(n, seed=0):
+            if abs(n) > 2**64:
+                raise AssertionError(f"factorize called on a {abs(n).bit_length()}-bit number")
+            calls.append(abs(n))
+            return original(n, seed)
+
+        monkeypatch.setattr(arith, "factorize", guarded)
+        return calls
+
+    def test_hard_semiprime_decided_without_factoring_m(self, factorized):
+        m = (2**61 - 1) * (2**89 - 1)
+        assert purefield.analyze(9, m).to_json_dict() == {
+            "status": "inconclusive",
+            "provenance": "none",
+            "n": 9,
+            "m": m,
+            "notes": [
+                "no squarefree power decomposition matches the generator construction",
+                "splitting-count criterion did not fire",
+                "no common index divisor among primes [3]",
+            ],
+        }
+
+    def test_31_bit_semiprime_never_factored(self, factorized):
+        m = (2**31 - 1) * 2147483629
+        for n in (9, 15, 21):
+            purefield.analyze(n, m)
+            purefield.analyze(n, -m)
+        assert factorized
+        assert m not in factorized
 
 
 class TestAnalyze:
