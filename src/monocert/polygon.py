@@ -92,19 +92,10 @@ class IntPoly:
         """Euclidean division; exact over Z, so the divisor must be monic."""
         if not other.is_monic:
             raise ValueError("division requires a monic divisor")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dq = len(rem) - len(dv)
-        if dq < 0:
-            return IntPoly.zero(), self
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(dv) - 1]
-            if c:
-                quot[k] = c
-                for j, d in enumerate(dv):
-                    rem[k + j] -= c * d
-        return IntPoly(quot), IntPoly(rem[: len(dv) - 1])
+        top = other.degree
+        rest = list(self.coeffs)
+        _divide_in_place(rest, other.coeffs)
+        return IntPoly(rest[top:]), IntPoly(rest[:top])
 
     def __mod__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[1]
@@ -143,6 +134,21 @@ class IntPoly:
 
     def __str__(self) -> str:
         return _fmt_poly(self.coeffs)
+
+
+def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
+    """Divide rest by the monic dv in place: rest[:deg dv] becomes the remainder, rest[deg dv:] the quotient.
+
+    Quotient coefficient k is the value left at rest[k + deg dv]; the loop
+    never multiplies by a zero coefficient of dv.
+    """
+    top = len(dv) - 1
+    low = [(j, d) for j, d in enumerate(dv[:top]) if d]
+    for k in range(len(rest) - len(dv), -1, -1):
+        c = rest[k + top]
+        if c:
+            for j, d in low:
+                rest[k + j] -= c * d
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -210,16 +216,40 @@ class PhiExpansion:
 
 
 def phi_expand(F: IntPoly, phi: IntPoly) -> PhiExpansion:
-    """phi-adic development of F by repeated exact Euclidean division."""
+    """phi-adic development of F: parts[j] of degree < deg phi with F = sum parts[j] * phi**j.
+
+    When phi = x^d - c (every linear phi among them), no division is done:
+    a term f_i x^i with i = k*d + r is x^r (phi + c)^k, so by the binomial
+    theorem it adds f_i C(k, j) c^(k-j) to coefficient r of parts[j] for
+    j <= k; for x^n - m that is O(n) integer operations.  Any other phi is
+    divided into F repeatedly on one coefficient list, in place, each
+    remainder sliced off the bottom as the next part.
+    """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     if not F.is_monic:
         raise ValueError("F must be monic")
+    d = phi.degree
+    if not any(phi.coeffs[1:d]):
+        c = -phi.coeffs[0]
+        acc = [[0] * d for _ in range(F.degree // d + 1)]
+        for i, f in enumerate(F.coeffs):
+            if not f:
+                continue
+            k, r = divmod(i, d)
+            term = f
+            for j in range(k, -1, -1):
+                acc[j][r] += term
+                term = term * c * j // (k - j + 1)
+                if not term:
+                    break
+        return PhiExpansion(phi, tuple(IntPoly(a) for a in acc))
     parts = []
-    rest = F
-    while not rest.is_zero:
-        rest, rem = divmod(rest, phi)
-        parts.append(rem)
+    rest = list(F.coeffs)
+    while rest:
+        _divide_in_place(rest, phi.coeffs)
+        parts.append(IntPoly(rest[:d]))
+        del rest[:d]
     return PhiExpansion(phi, tuple(parts))
 
 

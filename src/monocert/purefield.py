@@ -4,7 +4,9 @@ Three independent certificate routes:
 
 * a closed-form principal polygon for x^n - m at odd primes p | n with p
   coprime to u*m (n = u*p^r), driving the splitting-count non-monogenity
-  criterion without ever expanding the polynomial;
+  criterion without ever expanding the polynomial: the correction term R is
+  kept mod phi throughout, so no polynomial it forms reaches degree
+  max(u, 2 deg phi);
 * an explicit generator construction for m = a^u (a squarefree, u coprime to
   n, every prime of n dividing a) whose index is verified prime by prime;
 * the direct route: full splitting data at candidate primes and the
@@ -164,7 +166,11 @@ class MonogenityVerdict:
 
 @dataclass(frozen=True)
 class ClosedFormData:
-    """Closed-form polygon data for x^n - m at an odd p | n coprime to u*m."""
+    """Closed-form polygon data for x^n - m at an odd p | n coprime to u*m.
+
+    Of the correction polynomial H only its remainder R mod phi is built;
+    A0 = p^(r+1) R + m^q - m is the constant part of the development.
+    """
 
     p: int
     r: int
@@ -172,8 +178,6 @@ class ClosedFormData:
     phi: IntPoly
     U: IntPoly
     T: IntPoly
-    H: IntPoly
-    V: IntPoly
     R: IntPoly
     A0: IntPoly
     nu0: int
@@ -221,9 +225,11 @@ def _cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[IntPoly, IntPo
 def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     """Closed-form principal polygon data for x^n - m with respect to p and phi.
 
-    Writes n = u * p^r, splits x^u - m as phi*U + p*T, forms the correction
-    polynomial H from the binomial sum of (pT), and reads the polygon off the
-    points (0, nu0) and (p^j, r - j) without developing x^n - m itself.
+    Writes n = u * p^r, splits x^u - m as phi*U + p*T, forms the remainder R
+    of the correction polynomial H (the binomial sum of (pT)) mod phi by a
+    Horner loop on polynomials of degree below 2 deg(phi), and reads the
+    polygon off the points (0, nu0) and (p^j, r - j) without developing
+    x^n - m itself; H is never built.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -243,23 +249,23 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     if (T.reduce_mod(p) % phi_bar).is_zero:
         raise ValueError("phi divides the cofactor T mod p; use closed_form_lift")
     q = p**r
-    # H = m^(q-1) * T + (1/p^(r+1)) * sum_{j=0}^{q-2} C(q, j) m^j (pT)^(q-j),
-    # accumulated by Horner in powers of pT
-    pT = T.scale(p)
+    # R = H mod phi for H = m^(q-1) * T + (1/p^(r+1)) * sum_{j=0}^{q-2} C(q, j) m^j (pT)^(q-j),
+    # the sum accumulated by Horner in powers of pT and kept mod phi at every step: reducing
+    # mod the monic phi is Z-linear, so it commutes with the exact division by p^(r+1)
+    pT = T.scale(p) % phi
     acc = IntPoly.zero()
     for k in range(q, 1, -1):
         acc = acc + IntPoly.const(math.comb(q, q - k) * m ** (q - k))
         if k > 2:
-            acc = acc * pT
-    acc = acc * pT * pT
-    H = T.scale(m ** (q - 1)) + acc.exact_div_scalar(p ** (r + 1))
-    V, R = divmod(H, phi)
+            acc = acc * pT % phi
+    acc = acc * pT % phi * pT % phi
+    R = (T.scale(m ** (q - 1)) % phi) + acc.exact_div_scalar(p ** (r + 1))
     A0 = R.scale(p ** (r + 1)) + IntPoly.const(m**q - m)
     if A0.is_zero:
         raise ValueError("degenerate constant part")
     nu0 = A0.padic_valuation(p)
     points = ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))
-    return ClosedFormData(p, r, u, phi, U, T, H, V, R, A0, nu0, points)
+    return ClosedFormData(p, r, u, phi, U, T, R, A0, nu0, points)
 
 
 def _effective_nu(p: int, m: int, r: int, nu_cap: int) -> int:
@@ -384,13 +390,20 @@ def detect_power_decomposition(n: int, m: int, seed: int = 0) -> tuple[int, int]
 
     Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b, so m
     is factored only when it is a perfect power, and then only its root b, once
-    the sign, gcd(u, n) and the primes of n pass.
+    the sign, gcd(u, n) and the primes of n pass.  g is found by taking exact
+    q-th roots for primes q alone, as long as they exist: the exponents k with
+    |m| a k-th power are the divisors of g, so g is the product of the q taken.
     """
-    for u in range(abs(m).bit_length(), 1, -1):
-        b = _iroot(abs(m), u)
-        if b**u == abs(m):
-            break
-    else:
+    b, u, q = abs(m), 1, 2
+    while q <= b.bit_length():
+        root = _iroot(b, q)
+        if root**q == b:
+            b, u = root, u * q
+        else:
+            q += 1
+            while not arith.is_prime(q):
+                q += 1
+    if u == 1:
         return None
     if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
         return None

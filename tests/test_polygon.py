@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monocert import fppoly
@@ -94,6 +94,51 @@ class TestPhiExpand:
         exp = phi_expand(F, phi)
         assert exp.decode() == F
         assert all(a.degree < phi.degree for a in exp.parts)
+
+
+def _naive_phi_expand(F, phi):
+    """The development by repeated schoolbook division, every phi coefficient multiplied in."""
+    d = phi.degree
+    parts, rest = [], list(F.coeffs)
+    while rest:
+        quot = [0] * max(len(rest) - d, 0)
+        for k in reversed(range(len(quot))):
+            c = quot[k] = rest[k + d]
+            for j, a in enumerate(phi.coeffs):
+                rest[k + j] -= c * a
+        parts.append(IntPoly(rest[:d]))
+        rest = quot
+    return tuple(parts)
+
+
+_binomial_phis = st.builds(
+    lambda d, c: IntPoly([-c] + [0] * (d - 1) + [1]),
+    st.integers(1, 4),
+    st.one_of(st.just(0), st.integers(-30, 30)),
+)
+_general_phis = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-10, 10), min_size=1, max_size=4))
+_binomial_fs = st.builds(IntPoly.binomial, st.integers(1, 200), st.integers(-50, 50))
+_trinomial_fs = st.integers(2, 120).flatmap(
+    lambda n: st.builds(
+        lambda k, a, b: IntPoly([b] + [0] * (k - 1) + [a] + [0] * (n - k - 1) + [1]),
+        st.integers(1, n - 1),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+    )
+)
+_dense_fs = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-30, 30), max_size=25))
+
+
+class TestPhiExpandOracle:
+    """phi_expand against repeated division: the binomial path for x^d - c, in-place division otherwise."""
+
+    @given(F=st.one_of(_binomial_fs, _trinomial_fs, _dense_fs), phi=st.one_of(_binomial_phis, _general_phis))
+    @example(F=IntPoly.binomial(6, 5), phi=IntPoly.binomial(2, 0))  # parts -5, 0, 0, 1 in powers of x^2
+    def test_matches_repeated_division(self, F, phi):
+        exp = phi_expand(F, phi)
+        assert exp.parts == _naive_phi_expand(F, phi)
+        assert len(exp.parts) == F.degree // phi.degree + 1
+        assert exp.decode() == F
 
 
 class TestPrincipalPolygon:

@@ -68,12 +68,29 @@ class TestClosedFormPolygon:
         assert len(data2.hull().sides) == 1
 
     def test_identity_decomposition(self):
-        data = purefield.closed_form_polygon(9, 7, 3, IntPoly([-1, 1]))
-        u, p = 1, 3
-        assert IntPoly.binomial(u, 7) == data.phi * data.U + data.T.scale(p)
-        assert data.A0 == data.R.scale(p ** (data.r + 1)) + IntPoly.const(7 ** p**data.r - 7)
-        # V, R is the division of H by phi
-        assert data.H == data.V * data.phi + data.R
+        # (9, 7) at x - 1 as before; r = 2 with u > 1 (deg phi 1 and 2); negative m, r = 1 and r = 2
+        instances = [(9, 7, 3, IntPoly([-1, 1]))]
+        for n, m, p, u in [(18, 5, 3, 2), (45, 2, 3, 5), (50, -3, 5, 2), (28, -10, 7, 4), (98, -3, 7, 2)]:
+            for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p), 0).factors:
+                instances.append((n, m, p, purefield.closed_form_lift(u, m, p, phi_bar)))
+        assert {phi.degree for *_, phi in instances} >= {1, 2}
+        for n, m, p, phi in instances:
+            data = purefield.closed_form_polygon(n, m, p, phi)
+            q = p**data.r
+            assert IntPoly.binomial(data.u, m) == data.phi * data.U + data.T.scale(p)
+            assert data.A0 == data.R.scale(p ** (data.r + 1)) + IntPoly.const(m**q - m)
+            # the exact correction polynomial H, built in full; R is its remainder mod phi
+            pT = data.T.scale(p)
+            binomial_sum = IntPoly.zero()
+            for j in range(q - 1):
+                power = IntPoly.const(1)
+                for _ in range(q - j):
+                    power = power * pT
+                binomial_sum = binomial_sum + power.scale(math.comb(q, j) * m**j)
+            H = data.T.scale(m ** (q - 1)) + binomial_sum.exact_div_scalar(p ** (data.r + 1))
+            V, R = divmod(H, phi)
+            assert H == V * phi + R
+            assert R == data.R, (n, m, p, phi)
 
     def test_bad_lift_rejected_and_bump_works(self):
         phi_bar = fppoly.FpPoly(3, [2, 1])  # x + 2, the [0, p) lift for m = 7
@@ -284,6 +301,10 @@ class TestDetectPowerDecompositionOracle:
     @example(a=30, u=3, c=1, sign=1, n=6)  # gcd(u, n) = 3
     @example(a=30, u=5, c=1, sign=-1, n=6)  # every hypothesis holds
     @example(a=2, u=4, c=2, sign=1, n=3)  # 2^4 * 2 = 2^5
+    @example(a=2, u=60, c=1, sign=1, n=7)  # composite g: 2^60
+    @example(a=3, u=36, c=1, sign=1, n=5)  # 3^36
+    @example(a=5, u=15, c=1, sign=-1, n=4)  # (-5)^15
+    @example(a=42, u=12, c=1, sign=1, n=7)  # (6*7)^12, found with u = 12
     def test_matches_exponent_gcd_rule(self, a, u, c, sign, n):
         m = sign * a**u * c
         got = purefield.detect_power_decomposition(n, m)
