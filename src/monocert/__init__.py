@@ -7,10 +7,10 @@ generators, plus canonical-number-system tooling on the monogenic cases.
 
 __version__ = "0.1.0"
 
-from .arith import CapExceeded, IntFactorization, bezout_positive, count_irreducibles, factorize, is_squarefree, nu_stable, padic_valuation
+from .arith import CapExceeded, IntFactorization, bezout_positive, count_irreducibles, factorize, nu_stable, padic_valuation
 from .cns import BoxReport, CnsBasis, DigitExpansion, cns_from_monogenic, decode, encode, kovacs_hypothesis, verify_box
-from .fppoly import FactorMultiset, FpPoly, FqElement, count_degree_d_factors, factor, is_separable
-from .ore import FactorSlot, IndexDivisorWitness, PrimeSplit, common_index_divisor, is_p_regular, ore_split, primes_of_degree
+from .fppoly import FactorMultiset, FpPoly, count_degree_d_factors, factor
+from .ore import FactorSlot, IndexDivisorWitness, PrimeSplit, common_index_divisor, ore_split, primes_of_degree
 from .polygon import (
     IntPoly,
     PhiExpansion,
@@ -25,9 +25,7 @@ from .polygon import (
 from .purefield import (
     ClosedFormData,
     MonogenityVerdict,
-    PureFieldSpec,
     analyze,
-    binomial_discriminant,
     binomial_irreducible,
     closed_form_lift,
     closed_form_polygon,

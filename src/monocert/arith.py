@@ -210,13 +210,6 @@ def factorize(n: int, seed: int = 0) -> IntFactorization:
     return result
 
 
-def is_squarefree(a: int, seed: int = 0) -> bool:
-    """True iff no prime square divides a; requires |a| >= 2."""
-    if abs(a) < 2:
-        raise ValueError("|a| >= 2 required")
-    return factorize(a, seed).is_squarefree
-
-
 def bezout_positive(u: int, n: int) -> tuple[int, int]:
     """Minimal (t, s) with u*t - n*s == 1, 1 <= t <= n, for coprime u, n."""
     if u < 1 or n < 1:

@@ -6,32 +6,39 @@ coefficient lists (ascending, trimmed, [] is zero) over a field backend: the
 a polynomial, power modulo a polynomial) and each backend's `pmul`/`pdivmod`.
 Over F_p those two are the int kernel of `_PrimeField`, whose multiply is the
 dense integer product `_int_pmul` that `polygon.IntPoly` multiplies with too.
-`FpPoly` and `FqElement` are immutable value types whose operators wrap the
-engine over `_PrimeField(p)`; the Rabin irreducibility and separability tests
-run on the lists directly.  The same engine factors polynomials (squarefree
-decomposition, distinct-degree, seeded equal-degree splitting) over any of
-three field backends:
+`FpPoly` is the immutable F_p value type (construction, `divmod`, `%`); the
+Rabin irreducibility test runs on the lists directly.
+
+An element of F_q is a residue: its reduced coefficient tuple over phi (of
+degree below deg phi), with ints in [0, p), constant first, trimmed, and ()
+for zero.  phi travels beside it as an explicit monic `FpPoly` base.  The
+engine factors polynomials (squarefree decomposition, distinct-degree, seeded
+equal-degree splitting) over any of three field backends, each of which takes
+residues in with `from_residue` and gives them back with `to_residue`:
 
 * `_PrimeField`: F_p with int elements.  `factor` uses it, and so does F_q
-  when deg phi = 1, with an element's constant coefficient as the int.
+  when deg phi = 1, with a residue's constant coefficient as the int.
 * `_ZechField`: F_q for deg phi >= 2 and q <= _ZECH_MAX_ORDER = 81.  An
   element is its discrete log to a primitive element (-1 for zero): multiply
   adds logs, inverse negates, add is one Zech-table lookup.  The exp, log
   and Zech tables (about 3*q ints) are built on first use of a field and
   cached for the last 64 (p, phi).  The threshold is the measured
-  crossover (Python 3.11, 2-vCPU Xeon).  On sampled `analyze(n, m)` calls
-  whose residue fields have 8 < q <= 81, Zech with the tables built anew
-  for every call took 691 ms against 915 ms on `FqElement`.  On calls whose
-  fields have 81 < q <= 1024 (n = 20-46, m < 200), a table costs 1-15 ms
-  and the residual polynomials are mostly linear: Zech took 389 ms cold and
-  145 ms warm against 227 ms, so a one-shot call would pay for the tables.
-* `_ExtField`: F_q with `FqElement` elements (residues wrapping `FpPoly`),
-  the backend above the threshold and the reference the others are tested
-  against.
+  crossover (Python 3.11, 2-vCPU Xeon), taken against the reference backend
+  when its elements were still objects wrapping `FpPoly`.  On sampled
+  `analyze(n, m)` calls whose residue fields have 8 < q <= 81, Zech with the
+  tables built anew for every call took 691 ms against 915 ms.  On calls
+  whose fields have 81 < q <= 1024 (n = 20-46, m < 200), a table costs
+  1-15 ms and the residual polynomials are mostly linear: Zech took 389 ms
+  cold and 145 ms warm against 227 ms, so a one-shot call would pay for the
+  tables.
+* `_ExtField`: F_q with the residue tuples themselves as elements, multiplied
+  by the `_PrimeField` kernel and reduced mod phi, inverted by extended
+  Euclid; the backend above the threshold and the reference the others are
+  tested against.
 
-`fq_factor` and `fq_is_separable` take and return `FqElement` coefficients,
-convert them once at entry and once at exit, and pick the backend from q.
-Factors are sorted by their coefficient tuples under every backend, so the
+`fq_factor` and `fq_is_separable` take the base and residue coefficients,
+validate both, convert them once into the backend picked from q and return
+residues.  Factors are sorted by their residues under every backend, so the
 output does not depend on which one ran.
 """
 
@@ -81,7 +88,7 @@ def _fmt_poly(coeffs: Sequence, var: str = "x") -> str:
 class FpPoly:
     """Dense polynomial over F_p; coefficients reduced, no trailing zeros.
 
-    A value type: its operators wrap the list engine over `_PrimeField(p)`.
+    A value type: its division wraps the list engine over `_PrimeField(p)`.
     """
 
     __slots__ = ("p", "coeffs")
@@ -109,14 +116,6 @@ class FpPoly:
     def zero(cls, p: int) -> "FpPoly":
         return cls(p, ())
 
-    @classmethod
-    def one(cls, p: int) -> "FpPoly":
-        return cls(p, (1,))
-
-    @classmethod
-    def x(cls, p: int) -> "FpPoly":
-        return cls(p, (0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -139,24 +138,6 @@ class FpPoly:
         if other.p != self.p:
             raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._same(other)
-        return FpPoly._wrap(self.p, _padd(_PrimeField(self.p), self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        self._same(other)
-        return FpPoly._wrap(self.p, _psub(_PrimeField(self.p), self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly._wrap(self.p, _psub(_PrimeField(self.p), [], self.coeffs))
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._same(other)
-        return FpPoly._wrap(self.p, _PrimeField(self.p).pmul(self.coeffs, other.coeffs))
-
-    def scale(self, c: int) -> "FpPoly":
-        return FpPoly._wrap(self.p, _pscale(_PrimeField(self.p), self.coeffs, c))
-
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         self._same(other)
         if len(self.coeffs) < len(other.coeffs):
@@ -167,30 +148,6 @@ class FpPoly:
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return divmod(self, other)[1]
-
-    def __pow__(self, e: int) -> "FpPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out, base = FpPoly.one(self.p), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def pow_mod(self, e: int, mod: "FpPoly") -> "FpPoly":
-        """self**e reduced modulo mod, by square and multiply."""
-        self._same(mod)
-        if e < 0:
-            raise ValueError("negative power")
-        return FpPoly._wrap(self.p, _ppow_mod(_PrimeField(self.p), self.coeffs, e, mod.coeffs))
-
-    def monic(self) -> "FpPoly":
-        return FpPoly._wrap(self.p, _pmonic(_PrimeField(self.p), self.coeffs))
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly._wrap(self.p, _pderiv(_PrimeField(self.p), self.coeffs))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FpPoly) and other.p == self.p and other.coeffs == self.coeffs
@@ -203,92 +160,6 @@ class FpPoly:
 
     def __str__(self) -> str:
         return f"{_fmt_poly(self.coeffs)} (mod {self.p})"
-
-
-def gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Monic greatest common divisor."""
-    a._same(b)
-    return FpPoly._wrap(a.p, _pgcd(_PrimeField(a.p), a.coeffs, b.coeffs))
-
-
-class FqElement:
-    """Element of F_p[x]/(phi) for monic irreducible phi, stored as a reduced residue."""
-
-    __slots__ = ("base", "rep")
-
-    def __init__(self, base: FpPoly, rep: FpPoly):
-        if not base.is_monic or base.degree < 1:
-            raise ValueError("base must be monic of degree >= 1")
-        rep._same(base)
-        if rep.degree >= base.degree:
-            rep = rep % base
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FqElement is immutable")
-
-    @classmethod
-    def from_int(cls, base: FpPoly, c: int) -> "FqElement":
-        return cls(base, FpPoly(base.p, (c,)))
-
-    @classmethod
-    def zero(cls, base: FpPoly) -> "FqElement":
-        return cls.from_int(base, 0)
-
-    @classmethod
-    def one(cls, base: FpPoly) -> "FqElement":
-        return cls.from_int(base, 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def _same(self, other: "FqElement") -> None:
-        if not isinstance(other, FqElement):
-            raise TypeError(f"expected FqElement, got {type(other).__name__}")
-        if other.base != self.base:
-            raise ValueError("extension base mismatch")
-
-    def __add__(self, other: "FqElement") -> "FqElement":
-        self._same(other)
-        return FqElement(self.base, self.rep + other.rep)
-
-    def __sub__(self, other: "FqElement") -> "FqElement":
-        self._same(other)
-        return FqElement(self.base, self.rep - other.rep)
-
-    def __neg__(self) -> "FqElement":
-        return FqElement(self.base, -self.rep)
-
-    def __mul__(self, other: "FqElement") -> "FqElement":
-        self._same(other)
-        return FqElement(self.base, self.rep * other.rep % self.base)
-
-    def inverse(self) -> "FqElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero field element")
-        inv = _pinv_mod(_PrimeField(self.base.p), self.rep.coeffs, self.base.coeffs)
-        if inv is None:
-            raise ValueError("base is not irreducible: residue has no inverse")
-        return FqElement(self.base, FpPoly._wrap(self.base.p, inv))
-
-    def __truediv__(self, other: "FqElement") -> "FqElement":
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "FqElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FqElement(self.base, self.rep.pow_mod(e, self.base))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FqElement) and other.base == self.base and other.rep == self.rep
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.rep))
-
-    def __repr__(self) -> str:
-        return f"FqElement({_fmt_poly(self.rep.coeffs)} mod ({_fmt_poly(self.base.coeffs)}, {self.base.p}))"
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +240,12 @@ class _PrimeField(_Field):
     def sort_key(self, a):
         return a
 
+    def from_residue(self, c):
+        return c[0] if c else 0
+
+    def to_residue(self, a):
+        return (a,) if a else ()
+
     # Coefficients accumulate unreduced and take one `% p` each when read.
 
     def pmul(self, f, g):
@@ -421,7 +298,7 @@ class _ZechField(_Field):
     q and q - 1 ints, residues indexed by their coefficients read in base p.
     """
 
-    __slots__ = ("base", "char", "order", "ext_degree", "exp", "log", "zech", "_qm1", "_neg_one")
+    __slots__ = ("char", "order", "ext_degree", "exp", "log", "zech", "_qm1", "_neg_one")
     zero = -1
     one = 0
 
@@ -437,7 +314,6 @@ class _ZechField(_Field):
             exp.append(idx)
             log[idx] = k
             power = _pmod(F, F.pmul(power, g), phi)
-        self.base = base
         self.char, self.order, self.ext_degree = p, q, base.degree
         self.exp, self.log = exp, log
         # 1 + g^d differs from g^d only in the constant coefficient
@@ -470,14 +346,13 @@ class _ZechField(_Field):
     def rand(self, rng: random.Random):
         return self.log[rng.randrange(self.order)]
 
-    def sort_key(self, a):
+    def from_residue(self, c):
+        return self.log[_coeff_index(self.char, c)]
+
+    def to_residue(self, a):
         return () if a < 0 else _index_coeffs(self.char, self.exp[a])
 
-    def from_fq(self, a: "FqElement"):
-        return self.log[_coeff_index(self.char, a.rep.coeffs)]
-
-    def to_fq(self, a) -> "FqElement":
-        return FqElement(self.base, FpPoly(self.char, self.sort_key(a)))
+    sort_key = to_residue
 
 
 def _primitive_element(F: _PrimeField, phi: list, q: int) -> list:
@@ -496,65 +371,81 @@ def _zech_field(base: FpPoly) -> _ZechField:
 
 
 class _ExtField(_Field):
-    """F_p[x]/(phi) with FqElement elements: the backend above _ZECH_MAX_ORDER and the tests' reference."""
+    """F_p[x]/(phi) on residue tuples: the backend above _ZECH_MAX_ORDER and the tests' reference.
 
-    __slots__ = ("base", "zero", "one")
+    Multiplying is the `_PrimeField` product reduced mod phi; inverting is
+    extended Euclid modulo phi.
+    """
+
+    __slots__ = ("base", "char", "order", "ext_degree", "_F")
+    zero = ()
+    one = (1,)
 
     def __init__(self, base: FpPoly):
         self.base = base
-        self.zero = FqElement.zero(base)
-        self.one = FqElement.one(base)
-
-    @property
-    def char(self) -> int:
-        return self.base.p
-
-    @property
-    def order(self) -> int:
-        return self.base.p ** self.base.degree
-
-    @property
-    def ext_degree(self) -> int:
-        return self.base.degree
+        self.char, self.order, self.ext_degree = base.p, base.p**base.degree, base.degree
+        self._F = _PrimeField(base.p)
 
     def add(self, a, b):
-        return a + b
+        return tuple(_padd(self._F, a, b))
 
     def neg(self, a):
-        return -a
+        p = self.char
+        return tuple(-c % p for c in a)
 
     def mul(self, a, b):
-        return a * b
+        F = self._F
+        return tuple(_pmod(F, F.pmul(a, b), self.base.coeffs))
 
     def inv(self, a):
-        return a.inverse()
+        if not a:
+            raise ZeroDivisionError("inverting zero field element")
+        inv = _pinv_mod(self._F, a, self.base.coeffs)
+        if inv is None:
+            raise ValueError("base is not irreducible: residue has no inverse")
+        return tuple(inv)
 
     def from_int(self, k: int):
-        return FqElement.from_int(self.base, k)
+        k %= self.char
+        return (k,) if k else ()
 
     def rand(self, rng: random.Random):
-        return FqElement(self.base, FpPoly(self.base.p, [rng.randrange(self.base.p) for _ in range(self.base.degree)]))
+        p = self.char
+        return tuple(_trim(self._F, [rng.randrange(p) for _ in range(self.ext_degree)]))
 
-    def sort_key(self, a):
-        return a.rep.coeffs
+    def from_residue(self, c):
+        return c
+
+    def to_residue(self, a):
+        return a
+
+    sort_key = to_residue
 
 
 # Largest residue field with Zech tables; above it a cold table costs more than it saves.
 _ZECH_MAX_ORDER = 81
 
 
-def _fq_backend(coeffs: list) -> tuple:
-    """(backend, coefficients as its elements, converter back to FqElement) for F_q coefficients."""
-    base = coeffs[0].base
-    if any(c.base != base for c in coeffs):
-        raise ValueError("extension base mismatch")
+def _fq_backend(base: FpPoly):
+    """The backend for F_p[x]/(base), picked from q."""
     if base.degree == 1:
         # a residue modulo a linear base is a constant
-        return _PrimeField(base.p), [c.rep.lc for c in coeffs], lambda c: FqElement.from_int(base, c)
+        return _PrimeField(base.p)
     if base.p**base.degree <= _ZECH_MAX_ORDER:
-        K = _zech_field(base)
-        return K, [K.from_fq(c) for c in coeffs], K.to_fq
-    return _ExtField(base), coeffs, lambda c: c
+        return _zech_field(base)
+    return _ExtField(base)
+
+
+def _residues_in(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> tuple:
+    """(backend, the coefficients as its elements, trimmed), after validating base and every residue."""
+    if not base.is_monic or base.degree < 1:
+        raise ValueError("base must be monic of degree >= 1")
+    p, d = base.p, base.degree
+    for c in coeffs:
+        if not isinstance(c, tuple) or len(c) > d or (c and not c[-1]) or not all(0 <= a < p for a in c):
+            raise ValueError(f"coefficient {c!r} is not a reduced residue modulo {base}")
+    K = _fq_backend(base)
+    return K, _trim(K, [K.from_residue(c) for c in coeffs])
 
 
 def _trim(K, f):
@@ -754,15 +645,6 @@ class FactorMultiset:
     unit: int
     factors: tuple[tuple[FpPoly, int], ...]
 
-    def product(self, p: int) -> FpPoly:
-        out = FpPoly(p, (self.unit,))
-        for f, e in self.factors:
-            out = out * f**e
-        return out
-
-    def count_of_degree(self, d: int) -> int:
-        return sum(1 for f, _ in self.factors if f.degree == d)
-
 
 def factor(f: FpPoly, seed: int = 0) -> FactorMultiset:
     """Factor nonzero f into monic irreducibles; deterministic for fixed seed."""
@@ -775,14 +657,6 @@ def factor(f: FpPoly, seed: int = 0) -> FactorMultiset:
     pairs = _factor_list(K, list(f.coeffs), rng)
     factors = tuple((FpPoly(f.p, cs), m) for cs, m in pairs)
     return FactorMultiset(f.lc, factors)
-
-
-def is_separable(f: FpPoly) -> bool:
-    """True iff gcd(f, f') = 1."""
-    if f.is_zero:
-        raise ValueError("separability of zero undefined")
-    K = _PrimeField(f.p)
-    return len(_pgcd(K, f.coeffs, _pderiv(K, f.coeffs))) == 1
 
 
 def is_irreducible(f: FpPoly) -> bool:
@@ -834,28 +708,33 @@ def count_degree_d_factors(p: int, d: int, u: int, m: int) -> int:
     return count
 
 
-def fq_is_separable(coeffs: Sequence[FqElement]) -> bool:
-    """Separability of a polynomial with F_q coefficients (gcd with derivative)."""
-    cs = list(coeffs)
-    if not cs:
-        raise ValueError("separability of zero undefined")
-    K, f, _ = _fq_backend(cs)
-    f = _trim(K, f)
+def fq_is_separable(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> bool:
+    """Separability (gcd with the derivative is 1) of a nonzero polynomial over F_p[x]/(base).
+
+    coeffs[j] is the coefficient of y^j as a residue: its reduced coefficient
+    tuple over base, ints in [0, p), constant first, trimmed, () for zero.
+    Raises ValueError unless base is monic of degree >= 1, every coefficient
+    is such a residue and the polynomial is nonzero.
+    """
+    K, f = _residues_in(base, coeffs)
     if not f:
         raise ValueError("separability of zero undefined")
     return len(_pgcd(K, f, _pderiv(K, f))) == 1
 
 
-def fq_factor(coeffs: Sequence[FqElement], seed: int = 0) -> tuple[tuple[tuple[FqElement, ...], int], ...]:
-    """Factor a nonzero F_q[y] polynomial into monic irreducibles with multiplicities."""
-    cs = list(coeffs)
-    if not cs:
-        raise ValueError("cannot factor the zero polynomial")
-    K, f, to_fq = _fq_backend(cs)
-    f = _trim(K, f)
+def fq_factor(
+    base: FpPoly, coeffs: Sequence[tuple[int, ...]], seed: int = 0
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """Factor a nonzero polynomial over F_p[x]/(base) into monic irreducibles with multiplicities.
+
+    Coefficients, given and returned, are residues as in `fq_is_separable`,
+    which also names the ValueErrors.  Factors are sorted by degree, then by
+    their coefficients' residues.
+    """
+    K, f = _residues_in(base, coeffs)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if len(f) == 1:
         return ()
     rng = random.Random(seed)
-    return tuple((tuple(to_fq(c) for c in g), m) for g, m in _factor_list(K, f, rng))
+    return tuple((tuple(K.to_residue(c) for c in g), m) for g, m in _factor_list(K, f, rng))

@@ -29,11 +29,15 @@ class NotPRegular(ValueError):
 
 @dataclass(frozen=True)
 class FactorSlot:
-    """One prime ideal above p: lift, side, residual factor, and (e, f)."""
+    """One prime ideal above p: lift, side, residual factor, and (e, f).
+
+    residual_factor holds the monic factor's coefficients (ascending in y) as
+    residues over phi mod p, in the format of `ResidualPolynomial.coeffs`.
+    """
 
     phi: IntPoly
     side_index: int
-    residual_factor: tuple[fppoly.FqElement, ...]
+    residual_factor: tuple[tuple[int, ...], ...]
     multiplicity: int
     e: int
     f: int
@@ -103,7 +107,7 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
             if not res.is_separable():
                 exact = False
                 continue
-            for factor_coeffs, fmult in fppoly.fq_factor(res.coeffs, seed):
+            for factor_coeffs, fmult in fppoly.fq_factor(res.base, res.coeffs, seed):
                 slots.append(
                     FactorSlot(
                         phi=phi,
@@ -114,13 +118,8 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
                         f=phi_bar.degree * (len(factor_coeffs) - 1),
                     )
                 )
-    slots.sort(key=lambda s: (s.phi.coeffs, s.side_index, tuple(c.rep.coeffs for c in s.residual_factor)))
+    slots.sort(key=lambda s: (s.phi.coeffs, s.side_index, s.residual_factor))
     return PrimeSplit(p, tuple(slots), exact, index_val)
-
-
-def is_p_regular(F: IntPoly, p: int, seed: int = 0) -> bool:
-    """True iff every residual polynomial of every factor's polygon is separable."""
-    return ore_split(F, p, seed).exact
 
 
 def primes_of_degree(split: PrimeSplit, d: int) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import arith
-from .fppoly import FpPoly, FqElement, _fmt_poly, _int_pmul, is_irreducible
+from .fppoly import FpPoly, _fmt_poly, _int_pmul, fq_is_separable, is_irreducible
 
 
 class IntPoly:
@@ -105,9 +105,6 @@ class IntPoly:
             raise ValueError(f"coefficients not divisible by {k}")
         return IntPoly([c // k for c in self.coeffs])
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def evaluate(self, a: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -151,68 +148,12 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
                 rest[k + j] -= c * d
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Integer resultant via fraction-free (Bareiss) elimination of the Sylvester matrix."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = [[0] * size for _ in range(size)]
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows[i][i : i + m + 1] = fc
-    for i in range(m):
-        rows[n + i][i : i + n + 1] = gc
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, size):
-            head = rows[i][k]
-            if head == 0 and pivot == prev:
-                continue
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return sign * rows[size - 1][size - 1]
-
-
-def discriminant(f: IntPoly) -> int:
-    """Discriminant of monic f, (-1)^(n(n-1)/2) * Res(f, f')."""
-    if not f.is_monic:
-        raise ValueError("discriminant implemented for monic polynomials")
-    n = f.degree
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative())
-
-
 @dataclass(frozen=True)
 class PhiExpansion:
     """F = sum parts[j] * base**j with deg parts[j] < deg base."""
 
     base: IntPoly
     parts: tuple[IntPoly, ...]
-
-    def decode(self) -> IntPoly:
-        out = IntPoly.zero()
-        power = IntPoly.const(1)
-        for part in self.parts:
-            out = out + part * power
-            power = power * self.base
-        return out
 
 
 def phi_expand(F: IntPoly, phi: IntPoly) -> PhiExpansion:
@@ -381,29 +322,31 @@ def polygon_index(poly: PrincipalPolygon, degphi: int) -> int:
 
 @dataclass(frozen=True)
 class ResidualPolynomial:
-    """Residual polynomial of a side, with coefficients in F_p[x]/(phi_bar)."""
+    """Residual polynomial of a side, with coefficients in F_p[x]/(base), base = phi_bar.
+
+    coeffs[j] is the coefficient of y^j as a residue: its reduced coefficient
+    tuple over base, ints in [0, p), constant first, trimmed, () for zero.
+    """
 
     base: FpPoly
     side: Side
-    coeffs: tuple[FqElement, ...]
+    coeffs: tuple[tuple[int, ...], ...]
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_separable(self) -> bool:
-        from .fppoly import fq_is_separable
-
-        return fq_is_separable(self.coeffs)
+        return fq_is_separable(self.base, self.coeffs)
 
     def __str__(self) -> str:
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if c.is_zero:
+            if not c:
                 continue
-            cs = _fmt_poly(c.rep.coeffs)
-            cs = cs if c.rep.degree < 1 else f"({cs})"
+            cs = _fmt_poly(c)
+            cs = cs if len(c) < 2 else f"({cs})"
             parts.append(cs if i == 0 else (f"y^{i}" if cs == "1" else f"{cs}*y^{i}"))
         return " + ".join(parts).replace("y^1", "y") or "0"
 
@@ -413,7 +356,8 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
 
     Coefficient j comes from the development part at abscissa s + j*e: zero if
     the cloud point lies strictly above the side, otherwise the reduction of
-    part / p^valuation modulo (p, phi).
+    part / p^valuation modulo (p, phi), as a residue tuple (see
+    ResidualPolynomial).
     """
     phi_bar = exp.base.reduce_mod(p)
     (s, ys) = side.start
@@ -425,16 +369,16 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
         target = ys - j * step
         part = exp.parts[i] if i < len(exp.parts) else IntPoly.zero()
         if part.is_zero:
-            coeffs.append(FqElement.zero(phi_bar))
+            coeffs.append(())
             continue
         v = part.padic_valuation(p)
         if v < target:
             raise ValueError("side does not bound the development cloud")
         if v > target:
-            coeffs.append(FqElement.zero(phi_bar))
+            coeffs.append(())
         else:
             unit = part.exact_div_scalar(p**v)
-            coeffs.append(FqElement(phi_bar, unit.reduce_mod(p)))
-    if coeffs[0].is_zero or coeffs[-1].is_zero:
+            coeffs.append((unit.reduce_mod(p) % phi_bar).coeffs)
+    if not coeffs[0] or not coeffs[-1]:
         raise ValueError("side endpoints must lie on the polygon")
     return ResidualPolynomial(phi_bar, side, tuple(coeffs))

@@ -69,21 +69,6 @@ def _check_field(n: int, m: int) -> None:
 
 
 @dataclass(frozen=True)
-class PureFieldSpec:
-    """Validated parameters of the field generated by a root of x^n - m."""
-
-    n: int
-    m: int
-    n_factors: arith.IntFactorization
-    m_factors: arith.IntFactorization
-
-    @classmethod
-    def create(cls, n: int, m: int, seed: int = 0) -> "PureFieldSpec":
-        _check_field(n, m)
-        return cls(n, m, arith.factorize(n, seed), arith.factorize(m, seed))
-
-
-@dataclass(frozen=True)
 class MonogenityVerdict:
     """Certificate about the field of x^n - m; every number is recomputable."""
 
@@ -465,16 +450,6 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
         alpha_index_bound=alpha_bound,
         notes=notes,
     )
-
-
-def binomial_discriminant(n: int, a: int) -> int:
-    """Signed discriminant of x^n - a: (-1)^(n(n-1)/2) (-1)^(n^2-1) n^n a^(n-1)."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    sign = (-1) ** (n * (n - 1) // 2) * (-1) ** (n * n - 1)
-    return sign * n**n * a ** (n - 1)
 
 
 def analyze(

@@ -1,0 +1,81 @@
+"""Independent oracles the tests check the library against.
+
+Resultants give the Dedekind screen of the splitting tests (p divides the
+discriminant whenever p ramifies), decoding checks phi-adic developments, and
+the closed-form discriminant of x^n - a is cross-checked against the
+resultant route.
+"""
+
+from monocert.polygon import IntPoly, PhiExpansion
+
+
+def derivative(f: IntPoly) -> IntPoly:
+    return IntPoly([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
+def resultant(f: IntPoly, g: IntPoly) -> int:
+    """Integer resultant via fraction-free (Bareiss) elimination of the Sylvester matrix."""
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        return 0
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    rows = [[0] * size for _ in range(size)]
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows[i][i : i + m + 1] = fc
+    for i in range(m):
+        rows[n + i][i : i + n + 1] = gc
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, size):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k][k]
+        for i in range(k + 1, size):
+            head = rows[i][k]
+            if head == 0 and pivot == prev:
+                continue
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * pivot - head * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+    return sign * rows[size - 1][size - 1]
+
+
+def discriminant(f: IntPoly) -> int:
+    """Discriminant of monic f, (-1)^(n(n-1)/2) * Res(f, f')."""
+    if not f.is_monic:
+        raise ValueError("discriminant implemented for monic polynomials")
+    n = f.degree
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(f, derivative(f))
+
+
+def binomial_discriminant(n: int, a: int) -> int:
+    """Signed discriminant of x^n - a: (-1)^(n(n-1)/2) (-1)^(n^2-1) n^n a^(n-1)."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    sign = (-1) ** (n * (n - 1) // 2) * (-1) ** (n * n - 1)
+    return sign * n**n * a ** (n - 1)
+
+
+def decode(exp: PhiExpansion) -> IntPoly:
+    """sum parts[j] * base**j: the polynomial a development encodes."""
+    out = IntPoly.zero()
+    power = IntPoly.const(1)
+    for part in exp.parts:
+        out = out + part * power
+        power = power * exp.base
+    return out

@@ -125,14 +125,9 @@ class TestFactorizePastTrialBound:
 
 class TestSquarefree:
     def test_known_values(self):
-        assert arith.is_squarefree(30)
-        assert not arith.is_squarefree(12)
-        assert arith.is_squarefree(-105)
-
-    def test_small_rejected(self):
-        for a in (-1, 0, 1):
-            with pytest.raises(ValueError):
-                arith.is_squarefree(a)
+        assert arith.factorize(30).is_squarefree
+        assert not arith.factorize(12).is_squarefree
+        assert arith.factorize(-105).is_squarefree
 
 
 class TestBezout:

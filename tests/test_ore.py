@@ -4,7 +4,8 @@ import random
 import pytest
 
 from monocert import fppoly, ore
-from monocert.polygon import IntPoly, resultant
+from monocert.polygon import IntPoly
+from oracles import derivative, resultant
 
 QUARTIC = IntPoly.binomial(4, 17)
 
@@ -57,6 +58,13 @@ class TestOreSplit:
         assert a == b
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
+    def test_slots_sorted_by_residual_factor(self):
+        # x^3 - 750 at 5: one side with residual y^3 - 1 = (y^2 + y + 1)(y + 4) over F_5; slots on
+        # one side are ordered by their residue tuples, so the quadratic factor comes first
+        split = ore.ore_split(IntPoly.binomial(3, 750), 5)
+        assert [s.residual_factor for s in split.slots] == [((1,), (1,), (1,)), ((4,), (1,))]
+        assert [s["f"] for s in split.to_json_dict()["slots"]] == [2, 1]
+
     def test_json_shape(self):
         doc = ore.ore_split(QUARTIC, 2).to_json_dict()
         assert set(doc) == {"p", "exact", "index_valuation", "slots"}
@@ -76,7 +84,7 @@ class TestOreSplit:
                 continue
             exact_count += 1
             assert sum(s.e * s.f for s in split.slots) == F.degree
-            if resultant(F, F.derivative()) % p != 0:
+            if resultant(F, derivative(F)) % p != 0:
                 assert all(s.e == 1 for s in split.slots)
 
 
@@ -110,10 +118,10 @@ class TestExtensionResiduals:
 
 class TestRegularity:
     def test_known_values(self):
-        assert ore.is_p_regular(QUARTIC, 2)
-        assert ore.is_p_regular(QUARTIC, 17)
-        assert ore.is_p_regular(IntPoly.binomial(5, 6), 2)  # Eisenstein-type
-        assert not ore.is_p_regular(IntPoly.binomial(2, 12), 2)
+        assert ore.ore_split(QUARTIC, 2).exact
+        assert ore.ore_split(QUARTIC, 17).exact
+        assert ore.ore_split(IntPoly.binomial(5, 6), 2).exact  # Eisenstein-type
+        assert not ore.ore_split(IntPoly.binomial(2, 12), 2).exact
 
 
 class TestPrimesOfDegree:

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from monocert import fppoly
 from monocert.polygon import (
     IntPoly,
+    PhiExpansion,
     Side,
-    discriminant,
     lower_convex_hull,
     phi_expand,
     polygon_index,
     principal_from_points,
     principal_polygon,
     residual_polynomial,
-    resultant,
 )
+from oracles import decode, discriminant, resultant
 
 QUARTIC = IntPoly.binomial(4, 17)
 PHI1 = IntPoly([-1, 1])
@@ -92,7 +92,7 @@ class TestPhiExpand:
         F = IntPoly(fc + [1])
         phi = IntPoly(gc + [1])
         exp = phi_expand(F, phi)
-        assert exp.decode() == F
+        assert decode(exp) == F
         assert all(a.degree < phi.degree for a in exp.parts)
 
 
@@ -138,7 +138,7 @@ class TestPhiExpandOracle:
         exp = phi_expand(F, phi)
         assert exp.parts == _naive_phi_expand(F, phi)
         assert len(exp.parts) == F.degree // phi.degree + 1
-        assert exp.decode() == F
+        assert decode(exp) == F
 
 
 class TestPrincipalPolygon:
@@ -228,7 +228,7 @@ class TestResidualPolynomial:
         for side in poly.sides:
             res = residual_polynomial(exp, side, 2)
             assert res.degree == 1
-            assert [c.rep.coeffs for c in res.coeffs] == [(1,), (1,)]  # y + 1 each time
+            assert res.coeffs == ((1,), (1,))  # y + 1 each time
             assert res.is_separable()
 
     def test_interior_point_above_gives_zero(self):
@@ -238,7 +238,7 @@ class TestResidualPolynomial:
         (side,) = poly.sides
         res = residual_polynomial(exp, side, 2)
         assert res.degree == 2
-        assert res.coeffs[1].is_zero
+        assert res.coeffs[1] == ()
         assert not res.is_separable()  # y^2 + 1 is a square mod 2
 
     def test_endpoints_nonzero(self):
@@ -258,10 +258,27 @@ class TestResidualPolynomial:
                 continue
             for side in poly.sides:
                 res = residual_polynomial(exp, side, p)
-                assert not res.coeffs[0].is_zero
-                assert not res.coeffs[-1].is_zero
+                assert res.coeffs[0] != ()
+                assert res.coeffs[-1] != ()
                 assert res.degree == side.side_degree
                 checked += 1
+
+    def test_str_over_extension(self):
+        # x^6 - 5 at 2 over phi = x^2 + x + 1: residue coefficients of degree 1 are parenthesised
+        F = IntPoly.binomial(6, 5)
+        exp = phi_expand(F, IntPoly([1, 1, 1]))
+        (side,) = principal_polygon(exp, 2).sides
+        res = residual_polynomial(exp, side, 2)
+        assert res.coeffs == ((1,), (1, 1), (0, 1))
+        assert str(res) == "(x)*y^2 + (x + 1)*y + 1"
+
+    def test_units_reduced_mod_phi_bar(self):
+        # a hand-made development whose constant part 2x^3 is not reduced: x^3 = 1 mod (2, x^2 + x + 1)
+        exp = PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([0, 0, 0, 2]), IntPoly([1])))
+        (side,) = principal_polygon(exp, 2).sides
+        res = residual_polynomial(exp, side, 2)
+        assert res.coeffs == ((1,), (1,))
+        assert res.is_separable()
 
     def test_mismatched_side_rejected(self):
         exp = phi_expand(QUARTIC, PHI1)

@@ -6,7 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
-from monocert.polygon import IntPoly, discriminant, phi_expand, principal_polygon
+from monocert.polygon import IntPoly, phi_expand, principal_polygon
+from oracles import binomial_discriminant, discriminant
 
 
 class TestBinomialIrreducible:
@@ -33,17 +34,16 @@ class TestBinomialIrreducible:
             purefield.binomial_irreducible(3, 1)
 
 
-class TestPureFieldSpec:
-    def test_create(self):
-        spec = purefield.PureFieldSpec.create(4, 17)
-        assert spec.n_factors.factors == ((2, 2),)
-        assert spec.m_factors.factors == ((17, 1),)
+class TestCheckField:
+    def test_accepts(self):
+        assert purefield._check_field(4, 17) is None
+        assert purefield.analyze(4, 17).n == 4
 
     def test_rejects(self):
         with pytest.raises(ValueError):
-            purefield.PureFieldSpec.create(2, 5)
+            purefield.analyze(2, 5)
         with pytest.raises(ValueError, match="reducible"):
-            purefield.PureFieldSpec.create(6, 64)
+            purefield.analyze(6, 64)
 
 
 class TestClosedFormPolygon:
@@ -233,22 +233,25 @@ class TestConstructGenerator:
             purefield.construct_generator(6, 12, 5)
         with pytest.raises(ValueError, match="prime of n"):
             purefield.construct_generator(6, 5, 5)
+        for a in (-1, 0, 1):
+            with pytest.raises(ValueError, match=r"\|a\| >= 2"):
+                purefield.construct_generator(3, a, 2)
 
 
 class TestBinomialDiscriminant:
     def test_known_values(self):
-        assert purefield.binomial_discriminant(6, 30) == 6**6 * 30**5
-        assert purefield.binomial_discriminant(2, 5) == 20
-        assert purefield.binomial_discriminant(3, 2) == -108
+        assert binomial_discriminant(6, 30) == 6**6 * 30**5
+        assert binomial_discriminant(2, 5) == 20
+        assert binomial_discriminant(3, 2) == -108
 
     def test_matches_resultant_route(self):
         for n in range(2, 9):
             for a in (-7, -2, 3, 10):
-                assert purefield.binomial_discriminant(n, a) == discriminant(IntPoly.binomial(n, a)), (n, a)
+                assert binomial_discriminant(n, a) == discriminant(IntPoly.binomial(n, a)), (n, a)
 
     def test_magnitude_identity(self):
         for n, a in [(6, 30), (4, 6), (10, 10)]:
-            assert abs(purefield.binomial_discriminant(n, a)) == n**n * abs(a) ** (n - 1)
+            assert abs(binomial_discriminant(n, a)) == n**n * abs(a) ** (n - 1)
 
 
 class TestDetectPowerDecomposition:
