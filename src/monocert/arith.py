@@ -17,24 +17,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-class CapExceeded:
-    """Marker returned when a valuation is known only to exceed a cap."""
-
-    __slots__ = ("cap",)
-
-    def __init__(self, cap: int):
-        self.cap = cap
-
-    def __repr__(self) -> str:
-        return f"CapExceeded(cap={self.cap})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CapExceeded) and other.cap == self.cap
-
-    def __hash__(self) -> int:
-        return hash(("CapExceeded", self.cap))
-
-
 @dataclass(frozen=True)
 class IntFactorization:
     """Complete factorization of a nonzero integer, primes ascending."""
@@ -116,26 +98,23 @@ def padic_valuation(p: int, m: int) -> int:
     return k
 
 
-def nu_stable(p: int, m: int, cap: int = 64) -> int | CapExceeded:
-    """nu_p(m**(p-1) - 1) for odd p not dividing m, without forming m**(p-1).
+def nu_stable(p: int, m: int, bound: int) -> int:
+    """min(bound, nu_p(m**(p-1) - 1)) for odd p not dividing m, without forming m**(p-1).
 
-    Tests m**(p-1) == 1 mod p**k at increasing k via modular exponentiation.
-    Returns CapExceeded(cap) as soon as the valuation is known to exceed cap.
+    Tests m**(p-1) == 1 mod p**k for k = 1, 2, ..., bound via modular exponentiation.
     """
     if p == 2:
         raise ValueError("p must be an odd prime")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     if m % p == 0:
         raise ValueError(f"{p} divides {m}")
     nu = 0
-    for k in range(1, cap + 2):
-        if pow(m, p - 1, p**k) != 1:
-            return nu
-        nu = k
-    return CapExceeded(cap)
+    while nu < bound and pow(m, p - 1, p ** (nu + 1)) == 1:
+        nu += 1
+    return nu
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

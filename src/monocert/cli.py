@@ -274,11 +274,9 @@ def _verdict_row(n: int, m: int, verdict: purefield.MonogenityVerdict) -> dict:
 
 def _cmd_analyze(args) -> int:
     started = time.perf_counter()
-    verdict = purefield.analyze(
-        args.n, args.m, seed=args.seed, nu_cap=args.nu_cap, d_bound=args.d_bound, split_degree_budget=args.split_budget
-    )
+    verdict = purefield.analyze(args.n, args.m, seed=args.seed, split_degree_budget=args.split_budget)
     payload = {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(args.n, args.m, verdict)]}
-    config = _config_echo(args, ("n", "m", "nu_cap", "d_bound", "split_budget", "format"))
+    config = _config_echo(args, ("n", "m", "split_budget", "format"))
     _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
     return 0
 
@@ -337,9 +335,9 @@ def _cmd_factor(args) -> int:
 
 
 def _analyze_task(task) -> dict:
-    n, m, seed, nu_cap, d_bound, split_budget = task
+    n, m, seed, split_budget = task
     try:
-        verdict = purefield.analyze(n, m, seed=seed, nu_cap=nu_cap, d_bound=d_bound, split_degree_budget=split_budget)
+        verdict = purefield.analyze(n, m, seed=seed, split_degree_budget=split_budget)
         return _verdict_row(n, m, verdict)
     except Exception as exc:  # noqa: BLE001 - per-instance errors are data
         return {"n": n, "m": m, "status": "error", "error": str(exc)}
@@ -366,7 +364,7 @@ def _cmd_search(args) -> int:
             raise ValueError("search --mode analyze needs --n-set or --n-range")
         ns = list(_parse_int_list(args.n_set)) if args.n_set else list(_parse_range(args.n_range))
         ms = list(_parse_range(args.m_range))
-        tasks = [(n, m, args.seed, args.nu_cap, args.d_bound, args.split_budget) for n in sorted(ns) for m in ms]
+        tasks = [(n, m, args.seed, args.split_budget) for n in sorted(ns) for m in ms]
         worker = _analyze_task
     else:
         if args.n is None or not args.a_range or args.u is None:
@@ -381,7 +379,7 @@ def _cmd_search(args) -> int:
     rows.sort(key=lambda r: (r["n"], r["m"]))
     errors = sum(1 for r in rows if r.get("status") == "error")
     payload = {"columns": list(_SEARCH_COLUMNS), "rows": rows, "errors": errors}
-    config = _config_echo(args, ("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "nu_cap", "jobs", "format"))
+    config = _config_echo(args, ("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "split_budget", "jobs", "format"))
     _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
     return 0 if errors == 0 else 1
 
@@ -419,9 +417,7 @@ def _add_common_poly_args(sub) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
-    common.add_argument("--nu-cap", dest="nu_cap", type=int, default=64, help="cap for stable valuations")
     common.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for search")
     common.add_argument("--out", type=str, default=None, help=f"output file (resolved against ${_OUT_DIR_ENV})")
     parser = argparse.ArgumentParser(prog="monocert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", parents=[common], help="monogenity verdict for x^n - m")
     p_an.add_argument("--n", type=int, required=True)
     p_an.add_argument("--m", type=int, required=True)
-    p_an.add_argument("--d-bound", dest="d_bound", type=int, default=None)
     p_an.add_argument("--split-budget", dest="split_budget", type=int, default=64)
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -451,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--n", type=int, default=None, help="generator mode: fixed degree")
     p_se.add_argument("--a-range", dest="a_range", type=str, default=None, help="generator mode: base range a:b")
     p_se.add_argument("--u", type=int, default=None, help="generator mode: exponent")
-    p_se.add_argument("--d-bound", dest="d_bound", type=int, default=None)
     p_se.add_argument("--split-budget", dest="split_budget", type=int, default=64)
+    p_se.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_se.set_defaults(func=_cmd_search)
 
     p_cn = sub.add_parser("cns", help="digit-system tooling")

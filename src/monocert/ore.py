@@ -41,7 +41,6 @@ class FactorSlot:
     multiplicity: int
     e: int
     f: int
-    certain: bool = True
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
-from .polygon import IntPoly, PrincipalPolygon, principal_from_points
+from .polygon import IntPoly, PrincipalPolygon, polygon_index, principal_from_points
 
 
 def _iroot(x: int, k: int) -> int:
@@ -253,21 +253,7 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     return ClosedFormData(p, r, u, phi, U, T, R, A0, nu0, points)
 
 
-def _effective_nu(p: int, m: int, r: int, nu_cap: int) -> int:
-    """min(r+1, nu), using the cap itself when nu is only known to exceed it (sound)."""
-    nu = arith.nu_stable(p, m, nu_cap)
-    ceiling = nu.cap if isinstance(nu, arith.CapExceeded) else nu
-    return min(r + 1, ceiling)
-
-
-def theorem_general_test(
-    n: int,
-    m: int,
-    *,
-    nu_cap: int = 64,
-    d_bound: int | None = None,
-    seed: int = 0,
-) -> MonogenityVerdict | None:
+def theorem_general_test(n: int, m: int, *, seed: int = 0) -> MonogenityVerdict | None:
     """Splitting-count non-monogenity criterion for x^n - m.
 
     For each odd prime p | n coprime to m (n = u * p^r), the polygon of every
@@ -286,14 +272,8 @@ def theorem_general_test(
         if p == 2 or m % p == 0:
             continue
         u, r = _split_n(n, p)
-        effective = _effective_nu(p, m, r, nu_cap)
-        d = 0
-        while True:
-            d += 1
-            if d > u:
-                break
-            if d_bound is not None and d > d_bound:
-                break
+        effective = arith.nu_stable(p, m, r + 1)
+        for d in range(1, u + 1):
             pd = p**d
             # beyond this, N_p(d) >= 2 * effective * (u/d) can never be beaten
             if pd >= 16 and pd >= 4 * effective * u:
@@ -333,7 +313,7 @@ class CorollaryReport:
     discrepancy: str | None = None
 
 
-def corollary_checks(family: str, r: int, s: int, m: int, *, nu_cap: int = 64, seed: int = 0) -> CorollaryReport:
+def corollary_checks(family: str, r: int, s: int, m: int, *, seed: int = 0) -> CorollaryReport:
     """Evaluate a family hypothesis verbatim and compare with the general criterion.
 
     The family conditions are congruence shortcuts; each firing must be
@@ -346,8 +326,6 @@ def corollary_checks(family: str, r: int, s: int, m: int, *, nu_cap: int = 64, s
         raise ValueError("r and s must be positive")
     pa, pb = _FAMILIES[family]
     n = pa**r * pb**s
-    if not binomial_irreducible(n, m):
-        raise ValueError(f"x^{n} - ({m}) is reducible over Q")
     if family == "5-7":
         cond1 = r >= 1 and s >= 7 and pow(m, 6, 7**8) == 1
         cond2 = r >= 5 and s >= 1 and pow(m, 4, 5**6) == 1
@@ -358,7 +336,7 @@ def corollary_checks(family: str, r: int, s: int, m: int, *, nu_cap: int = 64, s
         cond1 = r >= 1 and s >= 2 and m % 11 == 10 and pow(m, 10, 11**3) == 1
         cond2 = r >= 6 and s >= 1 and pow(m, 4, 5**6) == 1
     fired = 1 if cond1 else 2 if cond2 else None
-    verdict = theorem_general_test(n, m, nu_cap=nu_cap, seed=seed)
+    verdict = theorem_general_test(n, m, seed=seed)
     fires = fired is not None
     agree = (not fires) or verdict is not None
     discrepancy = None
@@ -401,6 +379,19 @@ class SelfCheckError(RuntimeError):
     """A certificate failed its own verification: a defect in the engine, never an answer."""
 
 
+def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
+    """(exact, index valuation) of x^n - c at a prime q | c, read off two cloud points.
+
+    x^n - c is x^n mod q, so x is its only factor and the development is the
+    polynomial itself: the polygon has the one side (0, nu_q(c))--(n, 0).  The
+    split is exact when that side has degree 1, so its residual polynomial is
+    linear; the index is a lower bound either way.  Needs no arithmetic mod q,
+    so it serves primes at or above fppoly's modulus limit.
+    """
+    poly = principal_from_points(((0, arith.padic_valuation(q, c)), (n, 0)))
+    return poly.sides[0].side_degree == 1, polygon_index(poly, 1)
+
+
 def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityVerdict:
     """Power-basis generator for the field of x^n - a^u via a Bezout exponent pair.
 
@@ -431,11 +422,14 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
     alpha_bound = (n - 1) * (u - 1) // 2
     notes = []
     for q in a_fac.prime_divisors:
-        split_g = ore.ore_split(G, q, seed)
-        if not split_g.exact or split_g.index_valuation != 0:
-            raise SelfCheckError(f"index check failed at q={q}: expected exact valuation 0, got {split_g}")
-        split_f = ore.ore_split(F, q, seed)
-        if split_f.index_valuation < alpha_bound:
+        if q < fppoly._MAX_MODULUS:
+            split_g, split_f = ore.ore_split(G, q, seed), ore.ore_split(F, q, seed)
+            exact, index_g, index_f = split_g.exact, split_g.index_valuation, split_f.index_valuation
+        else:
+            (exact, index_g), (_, index_f) = _pure_split(n, a, q), _pure_split(n, a**u, q)
+        if not exact or index_g != 0:
+            raise SelfCheckError(f"index check failed at q={q}: expected exact valuation 0, got {index_g}, exact={exact}")
+        if index_f < alpha_bound:
             raise SelfCheckError(f"defining-root index bound failed at q={q}")
         notes.append(f"q={q}: generator index valuation 0; defining-root index valuation >= {alpha_bound}")
     return MonogenityVerdict.monogenic(
@@ -457,8 +451,6 @@ def analyze(
     m: int,
     *,
     seed: int = 0,
-    nu_cap: int = 64,
-    d_bound: int | None = None,
     split_degree_budget: int = 64,
 ) -> MonogenityVerdict:
     """Full verdict pipeline for x^n - m.
@@ -477,7 +469,7 @@ def analyze(
         a, u = decomp
         return construct_generator(n, a, u, seed=seed)
     notes.append("no squarefree power decomposition matches the generator construction")
-    verdict = theorem_general_test(n, m, nu_cap=nu_cap, d_bound=d_bound, seed=seed)
+    verdict = theorem_general_test(n, m, seed=seed)
     if verdict is not None:
         return verdict
     notes.append("splitting-count criterion did not fire")

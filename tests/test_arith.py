@@ -45,15 +45,17 @@ class TestNuStable:
 
     def test_rejects_even_prime_and_divisible_m(self):
         with pytest.raises(ValueError, match="odd"):
-            arith.nu_stable(2, 3)
+            arith.nu_stable(2, 3, 64)
         with pytest.raises(ValueError, match="divides"):
-            arith.nu_stable(5, 10)
+            arith.nu_stable(5, 10, 64)
+        with pytest.raises(ValueError, match="positive"):
+            arith.nu_stable(3, 2, 0)
 
-    def test_cap_exceeded(self):
-        # m = 3^70 + 1: m^2 - 1 = 3^70 (3^70 + 2), valuation 70 > 64
-        got = arith.nu_stable(3, 3**70 + 1, 64)
-        assert got == arith.CapExceeded(64)
+    def test_min_of_bound_and_valuation(self):
+        # m = 3^70 + 1: m^2 - 1 = 3^70 (3^70 + 2), valuation 70
+        assert arith.nu_stable(3, 3**70 + 1, 64) == 64
         assert arith.nu_stable(3, 3**70 + 1, 80) == 70
+        assert arith.nu_stable(3, 3**70 + 1, 70) == 70
 
     def test_matches_big_integer_oracle(self):
         for p in (3, 5, 7):

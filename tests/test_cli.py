@@ -65,6 +65,26 @@ class TestAnalyzeCommand:
         assert code == 3 and out == ""
         assert err.startswith("error: index check failed at q=2")
 
+    def test_prime_of_a_above_modulus_limit(self, capsys):
+        doc = run_json(capsys, "analyze", "--n", "3", "--m", str((3 * 4294967311) ** 2))
+        assert doc["verdict"]["status"] == "monogenic"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--n", "4", "--m", "17", "--nu-cap", "5"),
+            ("analyze", "--n", "4", "--m", "17", "--d-bound", "3"),
+            ("analyze", "--n", "4", "--m", "17", "--jobs", "2"),
+            ("search", "--n-set", "4", "--nu-cap", "5"),
+            ("search", "--n-set", "4", "--d-bound", "3"),
+            ("factor", "--n", "4", "--m", "17", "--p", "2", "--jobs", "2"),
+        ],
+    )
+    def test_removed_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
     def test_reducible_exits_nonzero(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--n", "6", "--m", "64")
         assert code == 2
@@ -149,6 +169,16 @@ class TestSearchCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args, "--jobs", "2")
         assert json.loads(out1)["rows"] == json.loads(out2)["rows"]
+
+    def test_config_echoes_split_budget(self, capsys):
+        args = ["search", "--n-set", "4", "--m-range", "17:17"]
+        default = run_json(capsys, *args)
+        assert default["config"]["split_budget"] == 64
+        assert default["rows"][0]["status"] == "not_monogenic"
+        small = run_json(capsys, *args, "--split-budget", "2")
+        assert small["config"]["split_budget"] == 2
+        assert small["rows"][0]["status"] == "inconclusive"
+        assert "nu_cap" not in default["config"]
 
     def test_empty_range(self, capsys):
         doc = run_json(capsys, "search", "--n-set", "27", "--m-range", "5:4")

@@ -153,17 +153,31 @@ class TestGeneralCriterion:
         with pytest.raises(ValueError, match="reducible"):
             purefield.theorem_general_test(6, 64)
 
-    def test_capped_nu_stays_sound(self):
-        # with a tiny cap the criterion must not fire (min shrinks), never misfire
-        assert purefield.theorem_general_test(27, 82, nu_cap=2) is None
+    def test_valuation_above_64_counted_exactly(self):
+        v = purefield.theorem_general_test(3**70, 3**70 + 1)
+        assert (v.p, v.witness_d, v.ideal_count, v.irreducible_count) == (3, 1, 70, 3)
 
-    def test_certificate_recomputable(self):
-        v = purefield.theorem_general_test(27, 82)
-        u, r = 1, 3
-        nu = arith.nu_stable(3, 82, 64)
-        eff = min(r + 1, nu)
-        assert v.ideal_count == eff * fppoly.count_degree_d_factors(3, v.witness_d, u, 82)
-        assert v.irreducible_count == arith.count_irreducibles(3, v.witness_d)
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (27, 82),
+            (5 * 7**7, 7**8 - 1),
+            (3**70, 3**70 + 1),  # r + 1 = 71, nu = 70
+            (2 * 3**66, 3**66 + 1),  # r + 1 = 67, nu = 66
+            (4 * 3**65, 10),  # r + 1 = 66, nu = 2
+        ],
+    )
+    def test_certificate_recomputable(self, n, m):
+        v = purefield.theorem_general_test(n, m)
+        p = v.p
+        u, r = n, 0
+        while u % p == 0:
+            u, r = u // p, r + 1
+        effective = 0
+        while effective < r + 1 and (m ** (p - 1) - 1) % p ** (effective + 1) == 0:
+            effective += 1
+        assert v.ideal_count == effective * fppoly.count_degree_d_factors(p, v.witness_d, u, m)
+        assert v.irreducible_count == arith.count_irreducibles(p, v.witness_d)
 
     def test_cross_validation_against_splitting(self):
         # every firing with moderate degree is confirmed by the full splitting
@@ -236,6 +250,26 @@ class TestConstructGenerator:
         for a in (-1, 0, 1):
             with pytest.raises(ValueError, match=r"\|a\| >= 2"):
                 purefield.construct_generator(3, a, 2)
+
+    def test_prime_above_modulus_limit(self):
+        # 4294967311 >= 2^31: its self-check reads the polygon off two points instead of ore_split
+        v = purefield.analyze(3, (3 * 4294967311) ** 2)
+        assert v.status == "monogenic" and v.generator_base == 3 * 4294967311
+        assert "q=4294967311: generator index valuation 0; defining-root index valuation >= 1" in v.notes
+
+    def test_pure_split_matches_ore_split(self):
+        # the two-point check agrees with ore_split wherever both run; u = 1 is G = x^n - a
+        for q in (3, 5, 7):
+            for n in range(3, 40):
+                for u in range(1, 12):
+                    if math.gcd(n, u) != 1:
+                        continue
+                    for a in (2 * q, -q):
+                        c = a**u
+                        split = ore.ore_split(IntPoly.binomial(n, c), q)
+                        assert purefield._pure_split(n, c, q) == (split.exact, split.index_valuation), (n, u, q, a)
+        # a side of degree 2, (0, 2)--(4, 0), is never reported exact
+        assert purefield._pure_split(4, 18, 3) == (False, 2)
 
 
 class TestBinomialDiscriminant:
