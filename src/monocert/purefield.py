@@ -12,6 +12,10 @@ Three independent certificate routes:
 * the direct route: full splitting data at candidate primes and the
   common-index-divisor test.
 
+At a prime p | m, x^n - m is x^n mod p, and Ore's data (one side, residual
+polynomial y^g - m/p^k) is known in closed form: the generator self-check and
+the direct route read it there and run no Ore splitting.
+
 Verdicts carry every number needed to recheck them from scratch.
 """
 
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
-from .polygon import IntPoly, PrincipalPolygon, polygon_index, principal_from_points
+from .polygon import IntPoly, PrincipalPolygon, principal_from_points
 
 
 def _iroot(x: int, k: int) -> int:
@@ -30,6 +34,8 @@ def _iroot(x: int, k: int) -> int:
         raise ValueError("negative radicand")
     if x == 0 or k == 1:
         return x
+    if k >= x.bit_length():  # x < 2^k, so the root is 1; spares Newton a k-bit power
+        return 1
     r = 1 << ((x.bit_length() + k - 1) // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
@@ -39,11 +45,9 @@ def _iroot(x: int, k: int) -> int:
 
 
 def _is_kth_power(m: int, k: int) -> bool:
-    if m < 0:
-        if k % 2 == 0:
-            return False
-        return (-_iroot(-m, k)) ** k == m
-    return _iroot(m, k) ** k == m
+    if m < 0 and k % 2 == 0:
+        return False
+    return _iroot(abs(m), k) ** k == abs(m)
 
 
 def binomial_irreducible(n: int, m: int) -> bool:
@@ -380,16 +384,18 @@ class SelfCheckError(RuntimeError):
 
 
 def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
-    """(exact, index valuation) of x^n - c at a prime q | c, read off two cloud points.
+    """(exact, index valuation) of x^n - c at a prime q | c, in closed form (Ore).
 
     x^n - c is x^n mod q, so x is its only factor and the development is the
-    polynomial itself: the polygon has the one side (0, nu_q(c))--(n, 0).  The
-    split is exact when that side has degree 1, so its residual polynomial is
-    linear; the index is a lower bound either way.  Needs no arithmetic mod q,
-    so it serves primes at or above fppoly's modulus limit.
+    polynomial itself: the polygon has the one side (0, k)--(n, 0), k = nu_q(c),
+    of degree g = gcd(n, k) with residual polynomial y^g - c/q^k.  That is
+    separable, and the split exact, iff q does not divide g.  The index is the
+    side's `polygon_index`, ((n-1)(k-1) + g - 1)/2 lattice points, and a lower
+    bound either way.  Needs no arithmetic mod q, so q may be any size.
     """
-    poly = principal_from_points(((0, arith.padic_valuation(q, c)), (n, 0)))
-    return poly.sides[0].side_degree == 1, polygon_index(poly, 1)
+    k = arith.padic_valuation(q, c)
+    g = math.gcd(n, k)
+    return g % q != 0, ((n - 1) * (k - 1) + g - 1) // 2
 
 
 def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityVerdict:
@@ -418,15 +424,10 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
         raise ValueError(f"every prime of n must divide a; missing {missing}")
     t, s = arith.bezout_positive(u, n)
     G = IntPoly.binomial(n, a)
-    F = IntPoly.binomial(n, a**u)
     alpha_bound = (n - 1) * (u - 1) // 2
     notes = []
     for q in a_fac.prime_divisors:
-        if q < fppoly._MAX_MODULUS:
-            split_g, split_f = ore.ore_split(G, q, seed), ore.ore_split(F, q, seed)
-            exact, index_g, index_f = split_g.exact, split_g.index_valuation, split_f.index_valuation
-        else:
-            (exact, index_g), (_, index_f) = _pure_split(n, a, q), _pure_split(n, a**u, q)
+        (exact, index_g), (_, index_f) = _pure_split(n, a, q), _pure_split(n, a**u, q)
         if not exact or index_g != 0:
             raise SelfCheckError(f"index check failed at q={q}: expected exact valuation 0, got {index_g}, exact={exact}")
         if index_f < alpha_bound:
@@ -461,6 +462,11 @@ def analyze(
     test at every prime of n*m below n (degree permitting).  Otherwise an
     honest Inconclusive: monogenity is claimed only through the verified
     construction.
+
+    The direct route answers a prime p | m in closed form (`_pure_split`) and
+    only records whether the split is p-regular: an exact split there is never
+    a witness, as the roots of y^g - m/p^k are nonzero, so at most p - 1
+    primes have residue degree 1 and at most N_p(f) any degree f >= 2.
     """
     _check_field(n, m)
     notes: list[str] = []
@@ -476,11 +482,16 @@ def analyze(
     if n <= split_degree_budget:
         F = IntPoly.binomial(n, m)
         candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
+        irregular = "p={}: splitting not p-regular; only an index lower bound is known"
         for p in candidates:
+            if m % p == 0:
+                if not _pure_split(n, m, p)[0]:
+                    notes.append(irregular.format(p))
+                continue
             try:
                 witness = ore.common_index_divisor(F, p, seed)
             except ore.NotPRegular:
-                notes.append(f"p={p}: splitting not p-regular; only an index lower bound is known")
+                notes.append(irregular.format(p))
                 continue
             if witness is not None:
                 return MonogenityVerdict.not_monogenic(

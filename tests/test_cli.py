@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from monocert import ore
+from monocert import purefield
 from monocert.cli import main, parse_poly, render_ascii
 from monocert.polygon import IntPoly, principal_from_points
 
@@ -60,7 +60,7 @@ class TestAnalyzeCommand:
 
     def test_failed_self_check_exits_3(self, capsys, monkeypatch):
         # a generator whose index check fails is an engine defect: exit 3, no traceback
-        monkeypatch.setattr(ore, "ore_split", lambda F, p, seed=0: ore.PrimeSplit(p, (), False, 0))
+        monkeypatch.setattr(purefield, "_pure_split", lambda n, c, q: (False, 0))
         code, out, err = run_cli(capsys, "analyze", "--n", "6", "--m", str(30**5))
         assert code == 3 and out == ""
         assert err.startswith("error: index check failed at q=2")

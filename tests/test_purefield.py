@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
@@ -32,6 +32,17 @@ class TestBinomialIrreducible:
             purefield.binomial_irreducible(1, 5)
         with pytest.raises(ValueError):
             purefield.binomial_irreducible(3, 1)
+
+    def test_iroot_brackets_the_root(self):
+        for x in range(1, 3000):
+            for k in range(1, 20):
+                r = purefield._iroot(x, k)
+                assert r**k <= x < (r + 1) ** k, (x, k)
+
+    def test_huge_prime_exponent_finishes(self):
+        # a 4294967311-th root of 3 is 1; Newton would form a 4.3-Gbit power to find it
+        assert purefield.binomial_irreducible(3 * 4294967311, 3)
+        assert purefield.analyze(3 * 4294967311, 3).status == "inconclusive"
 
 
 class TestCheckField:
@@ -252,13 +263,13 @@ class TestConstructGenerator:
                 purefield.construct_generator(3, a, 2)
 
     def test_prime_above_modulus_limit(self):
-        # 4294967311 >= 2^31: its self-check reads the polygon off two points instead of ore_split
+        # 4294967311 >= 2^31 is beyond the F_p engine; the closed-form self-check needs none of it
         v = purefield.analyze(3, (3 * 4294967311) ** 2)
         assert v.status == "monogenic" and v.generator_base == 3 * 4294967311
         assert "q=4294967311: generator index valuation 0; defining-root index valuation >= 1" in v.notes
 
     def test_pure_split_matches_ore_split(self):
-        # the two-point check agrees with ore_split wherever both run; u = 1 is G = x^n - a
+        # the closed form agrees with ore_split wherever both run; u = 1 is G = x^n - a
         for q in (3, 5, 7):
             for n in range(3, 40):
                 for u in range(1, 12):
@@ -268,8 +279,37 @@ class TestConstructGenerator:
                         c = a**u
                         split = ore.ore_split(IntPoly.binomial(n, c), q)
                         assert purefield._pure_split(n, c, q) == (split.exact, split.index_valuation), (n, u, q, a)
-        # a side of degree 2, (0, 2)--(4, 0), is never reported exact
-        assert purefield._pure_split(4, 18, 3) == (False, 2)
+        # a side of degree 2, (0, 2)--(4, 0): y^2 - 2 is separable mod 3, so the split is exact
+        assert purefield._pure_split(4, 18, 3) == (True, 2)
+
+
+PRIMES_BELOW_64 = [p for p in range(2, 64) if arith.is_prime(p)]
+
+
+class TestPureSplitOracle:
+    @settings(max_examples=200)
+    @given(
+        n=st.integers(3, 64),
+        p=st.sampled_from(PRIMES_BELOW_64),
+        k=st.integers(1, 9),
+        c=st.integers(1, 60),
+        sign=st.sampled_from([1, -1]),
+    )
+    @example(n=4, p=2, k=2, c=3, sign=1)  # g = 2: p | g, not exact
+    @example(n=9, p=3, k=3, c=2, sign=-1)  # g = 3 = p, negative m
+    @example(n=12, p=3, k=2, c=5, sign=1)  # p | n and p | m, g = 2 prime to p
+    @example(n=6, p=2, k=1, c=3, sign=-1)  # p = 2 | n*m, Eisenstein
+    @example(n=8, p=2, k=4, c=2, sign=-1)  # nu_2(m) = 5 > k
+    @example(n=64, p=61, k=9, c=60, sign=-1)  # largest degree and prime
+    def test_matches_ore_split(self, n, p, k, c, sign):
+        # Ore's data at p | m in closed form against the full splitting; an exact split is never a witness
+        assume(p < n)
+        m = sign * p**k * c
+        F = IntPoly.binomial(n, m)
+        split = ore.ore_split(F, p)
+        assert purefield._pure_split(n, m, p) == (split.exact, split.index_valuation)
+        if split.exact:
+            assert ore.common_index_divisor(F, p) is None
 
 
 class TestBinomialDiscriminant:
@@ -426,7 +466,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(ore, "ore_split", broken)
         with pytest.raises(ValueError, match="injected fault"):
-            purefield.analyze(4, 12)
+            purefield.analyze(4, 5)  # p = 2 does not divide m, so the direct route splits there
 
     def test_degree_budget(self):
         v = purefield.analyze(3, 2, split_degree_budget=2)
