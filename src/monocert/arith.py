@@ -88,9 +88,13 @@ def padic_valuation(p: int, m: int) -> int:
     """Largest k with p**k dividing m."""
     if m == 0:
         raise ValueError("valuation of zero undefined")
-    if p < 2 or not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m = abs(m)
+    return _valuation(p, m)
+
+
+def _valuation(p: int, m: int) -> int:
+    """padic_valuation for a p >= 2 the caller knows is prime and a nonzero m; p is not checked."""
     k = 0
     while m % p == 0:
         m //= p

@@ -118,7 +118,9 @@ class IntPoly:
         """min over nonzero coefficients of their p-adic valuations."""
         if self.is_zero:
             raise ValueError("valuation of the zero polynomial undefined")
-        return min(arith.padic_valuation(p, c) for c in self.coeffs if c)
+        if not arith.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return min(arith._valuation(p, c) for c in self.coeffs if c)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly) and other.coeffs == self.coeffs

@@ -393,7 +393,7 @@ def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
     side's `polygon_index`, ((n-1)(k-1) + g - 1)/2 lattice points, and a lower
     bound either way.  Needs no arithmetic mod q, so q may be any size.
     """
-    k = arith.padic_valuation(q, c)
+    k = arith._valuation(q, c)
     g = math.gcd(n, k)
     return g % q != 0, ((n - 1) * (k - 1) + g - 1) // 2
 

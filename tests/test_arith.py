@@ -21,6 +21,21 @@ class TestPadicValuation:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             arith.padic_valuation(6, 12)
+        with pytest.raises(ValueError, match="not prime"):
+            arith.padic_valuation(4, 8)
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 11, 97, 2**31 - 1]),
+        m=st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+    )
+    def test_unchecked_loop_matches_valuation(self, p, m):
+        # reference: strip p from |m|
+        k, rest = 0, abs(m)
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        assert arith._valuation(p, m) == arith.padic_valuation(p, m) == k
+        assert arith._valuation(p, p**5 * m) == k + 5
 
     @given(
         p=st.sampled_from([2, 3, 5, 7, 11, 97]),

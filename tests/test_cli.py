@@ -165,10 +165,14 @@ class TestSearchCommand:
         assert bad[0]["status"] == "error"
 
     def test_jobs_do_not_change_rows(self, capsys):
-        args = ["search", "--n-set", "27", "--m-range", "78:88"]
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args, "--jobs", "2")
-        assert json.loads(out1)["rows"] == json.loads(out2)["rows"]
+        # windows longer than the primes of n, so the F_p and F_q caches answer repeats in one
+        # process while each worker fills its own; the reducible m give error rows and exit code 1
+        args = ["search", "--n-set", "12,27,30", "--m-range", "2:50", "--format", "csv"]
+        code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
+        code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
+        assert code1 == code2 == 1
+        assert out1 == out2
+        assert len(out1.strip().splitlines()) == 1 + 3 * 49
 
     def test_config_echoes_split_budget(self, capsys):
         args = ["search", "--n-set", "4", "--m-range", "17:17"]

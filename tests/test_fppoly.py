@@ -370,13 +370,18 @@ class TestFlatBackends:
             (P(3, 1, 0, 1), [(1,), (3,)], "not a reduced residue"),  # entry >= p
             (P(3, 1, 0, 2), [(1,), (1,)], "monic"),
             (P(3, 1, 0, 1), [(), ()], "zero"),
+            (P(3, 1, 0, 1), [[1], (1,)], "not a reduced residue"),  # a list is not a residue, and not hashed
         ],
     )
     def test_malformed_input_rejected(self, base, coeffs, match):
-        with pytest.raises(ValueError, match=match):
-            fppoly.fq_factor(base, coeffs)
-        with pytest.raises(ValueError, match=match):
-            fppoly.fq_is_separable(base, coeffs)
+        for _ in range(2):  # the second time with a valid result over the same base cached
+            with pytest.raises(ValueError, match=match):
+                fppoly.fq_factor(base, coeffs)
+            with pytest.raises(ValueError, match=match):
+                fppoly.fq_is_separable(base, coeffs)
+            if base.is_monic:
+                fppoly.fq_factor(base, [(1,), (1,)])
+                fppoly.fq_is_separable(base, [(1,), (1,)])
 
     @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 10)])
     def test_zech_tables(self, p, d):
@@ -397,3 +402,64 @@ class TestFlatBackends:
             assert K.zech[k] == K.from_residue(R.add(R.one, power))  # zech[d] = log(1 + g^d)
             power = R.mul(power, g)
         assert power == R.one
+
+
+_CACHED = (fppoly.factor, fppoly.is_irreducible, fppoly.fq_factor, fppoly.fq_is_separable)
+
+
+@st.composite
+def _fq_inputs(draw):
+    """(base, residue coefficients, seed) over F_p[x]/(base) for q from 2 to 2**7, beyond the Zech bound."""
+    p, d = draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 7)]))
+    base = _first_irreducible(p, d)
+    residue = st.lists(st.integers(0, p - 1), max_size=d).map(lambda cs: FpPoly(p, cs).coeffs)
+    coeffs = draw(st.lists(residue, min_size=1, max_size=6).filter(any))
+    return base, coeffs, draw(st.integers(0, 5))
+
+
+class TestCaches:
+    """The four cached functions against their uncached bodies."""
+
+    def _check(self, fn, args, same_key):
+        fn.cache_clear()
+        want = fn.__wrapped__(*args)
+        first = fn(*args)
+        before = fn.cache_info()
+        again = fn(*same_key)
+        assert first == want and again is first
+        assert fn.cache_info().hits == before.hits + 1
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
+        cs=st.lists(st.integers(-50, 50), max_size=8),
+        seed=st.integers(0, 5),
+    )
+    def test_fp_results_match_uncached(self, p, cs, seed):
+        f = FpPoly(p, cs)
+        if not f.is_zero:
+            self._check(fppoly.factor, (f, seed), (FpPoly(p, list(f.coeffs)), seed))
+        if f.degree >= 1 and f.is_monic:
+            self._check(fppoly.is_irreducible, (f,), (FpPoly(p, list(f.coeffs)),))
+
+    @given(_fq_inputs())
+    def test_fq_results_match_uncached(self, case):
+        base, coeffs, seed = case
+        equal_base = FpPoly(base.p, list(base.coeffs))
+        self._check(fppoly.fq_factor, (base, tuple(coeffs), seed), (equal_base, list(coeffs), seed))
+        self._check(fppoly.fq_is_separable, (base, tuple(coeffs)), (equal_base, list(coeffs)))
+
+    def test_keyword_and_positional_seed_share_an_entry(self):
+        f = P(5, 1, 0, 0, 1)
+        fppoly.factor.cache_clear()
+        assert fppoly.factor(f, 3) is fppoly.factor(f, seed=3)
+        assert fppoly.factor.cache_info().currsize == 1
+
+    def test_size_stays_bounded(self):
+        assert all(fn.cache_info().maxsize == fppoly._CACHE_SIZE for fn in _CACHED)
+        fppoly.is_irreducible.cache_clear()
+        p = 2**31 - 1
+        for c in range(fppoly._CACHE_SIZE + 100):
+            assert fppoly.is_irreducible(FpPoly(p, [c, 1]))
+        info = fppoly.is_irreducible.cache_info()
+        assert info.misses == fppoly._CACHE_SIZE + 100
+        assert info.currsize == fppoly._CACHE_SIZE

@@ -48,6 +48,8 @@ class TestIntPoly:
         assert IntPoly([0, 8]).padic_valuation(2) == 3
         with pytest.raises(ValueError):
             IntPoly.zero().padic_valuation(2)
+        with pytest.raises(ValueError, match="not prime"):
+            IntPoly([4, 8]).padic_valuation(4)
 
 
 class TestResultant:
