@@ -171,7 +171,7 @@ def factorize(n: int, seed: int = 0) -> IntFactorization:
             n //= d
         d += increments[i]
         i = (i + 1) % 8
-    rng = random.Random(seed)
+    rng = None  # seeded only when a composite cofactor reaches rho
     stack = [n] if n > 1 else []
     while stack:
         t = stack.pop()
@@ -184,6 +184,8 @@ def factorize(n: int, seed: int = 0) -> IntFactorization:
         if root * root == t:
             stack += [root, root]
             continue
+        if rng is None:
+            rng = random.Random(seed)
         g = _pollard_rho(t, rng)
         stack += [g, t // g]
     factors = tuple(sorted(counts.items()))
@@ -207,14 +209,17 @@ def bezout_positive(u: int, n: int) -> tuple[int, int]:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
+    """Mobius function of n >= 1 by trial division; n is a divisor of a polynomial degree, so small."""
     mu = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
 
 
 def count_irreducibles(p: int, d: int) -> int:

@@ -85,6 +85,11 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
     Slots are enumerated from sides whose residual polynomial is separable;
     with `exact` False the slot list is partial and `index_valuation` is only
     a lower bound.
+
+    Each factor (phi_bar, mult) of F mod p is developed only through part
+    mult: phi_bar^mult exactly divides F mod p, so part mult is the first of
+    valuation 0, where the lower hull's negative-slope prefix ends.  No later
+    part changes the polygon, its index or its residual polynomials.
     """
     if not F.is_monic:
         raise ValueError("F must be monic")
@@ -97,7 +102,7 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
     index_val = 0
     for phi_bar, mult in factors:
         phi = IntPoly.lift(phi_bar)
-        exp = phi_expand(F, phi)
+        exp = phi_expand(F, phi, count=mult + 1)
         poly = principal_polygon(exp, p)
         assert poly.total_length == mult, "polygon length must equal the factor multiplicity"
         index_val += polygon_index(poly, phi_bar.degree)

@@ -120,7 +120,7 @@ class IntPoly:
             raise ValueError("valuation of the zero polynomial undefined")
         if not arith.is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return min(arith._valuation(p, c) for c in self.coeffs if c)
+        return _content_valuation(self, p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly) and other.coeffs == self.coeffs
@@ -133,6 +133,11 @@ class IntPoly:
 
     def __str__(self) -> str:
         return _fmt_poly(self.coeffs)
+
+
+def _content_valuation(a: IntPoly, p: int) -> int:
+    """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked."""
+    return min(arith._valuation(p, c) for c in a.coeffs if c)
 
 
 def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
@@ -152,36 +157,51 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
 
 @dataclass(frozen=True)
 class PhiExpansion:
-    """F = sum parts[j] * base**j with deg parts[j] < deg base."""
+    """F = sum parts[j] * base**j with deg parts[j] < deg base.
+
+    A prefix development (`phi_expand` with `count`) keeps only the leading
+    parts and satisfies F = sum parts[j] * base**j mod base**len(parts).
+    """
 
     base: IntPoly
     parts: tuple[IntPoly, ...]
 
 
-def phi_expand(F: IntPoly, phi: IntPoly) -> PhiExpansion:
+def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpansion:
     """phi-adic development of F: parts[j] of degree < deg phi with F = sum parts[j] * phi**j.
+
+    With `count`, only parts[0 .. count-1] are developed (all of them when
+    count exceeds deg F // deg phi + 1); the others are never computed.
 
     When phi = x^d - c (every linear phi among them), no division is done:
     a term f_i x^i with i = k*d + r is x^r (phi + c)^k, so by the binomial
     theorem it adds f_i C(k, j) c^(k-j) to coefficient r of parts[j] for
-    j <= k; for x^n - m that is O(n) integer operations.  Any other phi is
-    divided into F repeatedly on one coefficient list, in place, each
-    remainder sliced off the bottom as the next part.
+    j <= k, starting at j = min(k, count - 1); for x^n - m that is O(n)
+    integer operations.  Any other phi is divided into F repeatedly on one
+    coefficient list, in place, each remainder sliced off the bottom as the
+    next part, until `count` parts are sliced off.
     """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     if not F.is_monic:
         raise ValueError("F must be monic")
     d = phi.degree
+    full = F.degree // d + 1
+    if count is None:
+        count = full
+    elif count < 1:
+        raise ValueError("count must be positive")
+    count = min(count, full)
     if not any(phi.coeffs[1:d]):
         c = -phi.coeffs[0]
-        acc = [[0] * d for _ in range(F.degree // d + 1)]
+        acc = [[0] * d for _ in range(count)]
         for i, f in enumerate(F.coeffs):
             if not f:
                 continue
             k, r = divmod(i, d)
-            term = f
-            for j in range(k, -1, -1):
+            top = min(k, count - 1)
+            term = f * math.comb(k, top) * c ** (k - top)
+            for j in range(top, -1, -1):
                 acc[j][r] += term
                 term = term * c * j // (k - j + 1)
                 if not term:
@@ -189,7 +209,7 @@ def phi_expand(F: IntPoly, phi: IntPoly) -> PhiExpansion:
         return PhiExpansion(phi, tuple(IntPoly(a) for a in acc))
     parts = []
     rest = list(F.coeffs)
-    while rest:
+    while len(parts) < count:
         _divide_in_place(rest, phi.coeffs)
         parts.append(IntPoly(rest[:d]))
         del rest[:d]
@@ -287,16 +307,18 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
     Cloud points are (j, nu_p(parts[j])) over nonzero parts; the polygon keeps
     the negative-slope sides of the lower convex envelope.  Empty whenever
     nu_p(parts[0]) = 0, i.e. when the reduction of the base does not divide
-    the reduction of the developed polynomial.
+    the reduction of the developed polynomial.  The sides end at the first
+    part of valuation 0, so a prefix development through that part gives
+    the same polygon as the full one.
     """
-    phi_bar = exp.base.reduce_mod(p)
+    phi_bar = exp.base.reduce_mod(p)  # proves p prime
     if phi_bar.degree != exp.base.degree:
         raise ValueError("base must stay monic mod p")
     if not is_irreducible(phi_bar):
         raise ValueError(f"{phi_bar} is not irreducible")
     if exp.parts and exp.parts[0].is_zero:
         raise ValueError("base divides the polynomial over Z; the polygon is unbounded")
-    cloud = [(j, a.padic_valuation(p)) for j, a in enumerate(exp.parts) if not a.is_zero]
+    cloud = [(j, _content_valuation(a, p)) for j, a in enumerate(exp.parts) if not a.is_zero]
     return principal_from_points(cloud)
 
 
@@ -359,21 +381,24 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
     Coefficient j comes from the development part at abscissa s + j*e: zero if
     the cloud point lies strictly above the side, otherwise the reduction of
     part / p^valuation modulo (p, phi), as a residue tuple (see
-    ResidualPolynomial).
+    ResidualPolynomial).  A side reaching past the last developed part is
+    rejected, since a prefix development does not know the parts beyond it.
     """
-    phi_bar = exp.base.reduce_mod(p)
+    phi_bar = exp.base.reduce_mod(p)  # proves p prime
     (s, ys) = side.start
     e, d = side.ram_index, side.side_degree
     step = side.height // d
+    if side.end[0] >= len(exp.parts):
+        raise ValueError("side runs past the developed parts")
     coeffs = []
     for j in range(d + 1):
         i = s + j * e
         target = ys - j * step
-        part = exp.parts[i] if i < len(exp.parts) else IntPoly.zero()
+        part = exp.parts[i]
         if part.is_zero:
             coeffs.append(())
             continue
-        v = part.padic_valuation(p)
+        v = _content_valuation(part, p)
         if v < target:
             raise ValueError("side does not bound the development cloud")
         if v > target:

@@ -186,6 +186,12 @@ class TestCountIrreducibles:
                 total = sum(e * arith.count_irreducibles(p, e) for e in range(1, d + 1) if d % e == 0)
                 assert total == p**d, (p, d)
 
+    def test_mobius_matches_factorization(self):
+        for n in range(1, 2000):
+            factors = arith.factorize(n).factors
+            expected = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+            assert arith._mobius(n) == expected, n
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             arith.count_irreducibles(4, 2)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -173,6 +174,12 @@ class TestSearchCommand:
         assert code1 == code2 == 1
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 1 + 3 * 49
+
+    def test_search_matches_golden_csv(self, capsys):
+        golden = pathlib.Path(__file__).parent / "data" / "search_12_27_30_m2-300.csv"
+        code, out, _ = run_cli(capsys, "search", "--n-set", "12,27,30", "--m-range", "2:300", "--format", "csv")
+        assert code == 1
+        assert out == golden.read_text()
 
     def test_config_echoes_split_budget(self, capsys):
         args = ["search", "--n-set", "4", "--m-range", "17:17"]

@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monocert import fppoly, ore
-from monocert.polygon import IntPoly
+from monocert.polygon import IntPoly, phi_expand, principal_polygon, residual_polynomial
 from oracles import derivative, resultant
 
 QUARTIC = IntPoly.binomial(4, 17)
@@ -86,6 +88,30 @@ class TestOreSplit:
             assert sum(s.e * s.f for s in split.slots) == F.degree
             if resultant(F, derivative(F)) % p != 0:
                 assert all(s.e == 1 for s in split.slots)
+
+
+class TestPrefixDevelopment:
+    """ore_split develops each factor (phi_bar, mult) through part mult only; the full development agrees."""
+
+    @given(
+        cs=st.lists(st.integers(-60, 60), max_size=40),
+        p=st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_prefix_polygon_and_residuals_match_full(self, cs, p):
+        F = IntPoly(cs + [1])
+        for phi_bar, mult in fppoly.factor(F.reduce_mod(p)).factors:
+            phi = IntPoly.lift(phi_bar)
+            full = phi_expand(F, phi)
+            prefix = phi_expand(F, phi, count=mult + 1)
+            if full.parts[0].is_zero:  # phi divides F over Z: no polygon either way
+                with pytest.raises(ValueError, match="divides"):
+                    principal_polygon(prefix, p)
+                continue
+            poly = principal_polygon(prefix, p)
+            assert poly == principal_polygon(full, p)
+            assert poly.total_length == mult
+            for side in poly.sides:
+                assert residual_polynomial(prefix, side, p) == residual_polynomial(full, side, p)
 
 
 class TestExtensionResiduals:

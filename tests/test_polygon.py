@@ -142,6 +142,28 @@ class TestPhiExpandOracle:
         assert len(exp.parts) == F.degree // phi.degree + 1
         assert decode(exp) == F
 
+    @given(
+        F=st.one_of(_binomial_fs, _trinomial_fs, _dense_fs),
+        phi=st.one_of(_binomial_phis, _general_phis),
+        data=st.data(),
+    )
+    def test_prefix_is_leading_parts(self, F, phi, data):
+        full = phi_expand(F, phi).parts
+        count = data.draw(st.integers(1, len(full) + 2), label="count")
+        exp = phi_expand(F, phi, count=count)
+        assert exp.parts == full[:count]
+        # F = sum parts[j] phi^j mod phi^len(parts)
+        power = IntPoly.const(1)
+        for _ in exp.parts:
+            power = power * phi
+        assert (F - decode(exp)) % power == IntPoly.zero()
+
+    @pytest.mark.parametrize("phi", [PHI1, IntPoly.binomial(2, 3), IntPoly([1, 1, 1])])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, phi, count):
+        with pytest.raises(ValueError, match="count"):
+            phi_expand(QUARTIC, phi, count=count)
+
 
 class TestPrincipalPolygon:
     def test_quartic_vertices(self):
@@ -286,6 +308,20 @@ class TestResidualPolynomial:
         exp = phi_expand(QUARTIC, PHI1)
         with pytest.raises(ValueError):
             residual_polynomial(exp, Side((0, 5), (1, 2)), 2)
+
+    def test_side_past_prefix_rejected(self):
+        # parts 0..2 of x^4 - 17 in powers of x - 1; a side to (4, 0) reads part 4, never developed
+        full = phi_expand(QUARTIC, PHI1)
+        prefix = phi_expand(QUARTIC, PHI1, count=3)
+        side = Side((2, 1), (4, 0))
+        assert residual_polynomial(full, side, 2).coeffs == ((1,), (1,))
+        with pytest.raises(ValueError, match="past"):
+            residual_polynomial(prefix, side, 2)
+        with pytest.raises(ValueError, match="past"):
+            residual_polynomial(prefix, Side((0, 4), (3, 0)), 2)
+        # the sides that end within the prefix read the same parts
+        for side in principal_polygon(full, 2).sides[:2]:
+            assert residual_polynomial(prefix, side, 2) == residual_polynomial(full, side, 2)
 
 
 class TestLowerHull:
