@@ -1,7 +1,8 @@
 """Integer arithmetic base layer: valuations, factorization, Bezout, irreducible counts.
 
 Everything here is exact big-integer arithmetic.  Factoring trial-divides
-below 2^12, then splits by rho drawing from an explicit seed (reproducible).
+below 2^12, then splits by rho drawing from a fixed random stream.  The rho
+path may vary with the stream, the answer cannot: primes come out ascending.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-def factorize(n: int, seed: int = 0) -> IntFactorization:
-    """Complete factorization: trial division below 2^12, then seeded Brent rho."""
+def factorize(n: int) -> IntFactorization:
+    """Complete factorization: trial division below 2^12, then Brent rho; primes ascending."""
     if n == 0:
         raise ValueError("cannot factorize zero")
     value = n
@@ -171,7 +172,7 @@ def factorize(n: int, seed: int = 0) -> IntFactorization:
             n //= d
         d += increments[i]
         i = (i + 1) % 8
-    rng = None  # seeded only when a composite cofactor reaches rho
+    rng = None  # built only when a composite cofactor reaches rho
     stack = [n] if n > 1 else []
     while stack:
         t = stack.pop()
@@ -185,7 +186,7 @@ def factorize(n: int, seed: int = 0) -> IntFactorization:
             stack += [root, root]
             continue
         if rng is None:
-            rng = random.Random(seed)
+            rng = random.Random(0)
         g = _pollard_rho(t, rng)
         stack += [g, t // g]
     factors = tuple(sorted(counts.items()))

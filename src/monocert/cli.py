@@ -1,7 +1,7 @@
 """Command line front end: analyses, polygon drawings, splits, searches, digit systems.
 
-Reports are deterministic for a fixed config and seed (timing aside); JSON is
-emitted with sorted keys so runs can be compared byte for byte.
+Reports are deterministic for a fixed config (timing aside); JSON is emitted
+with sorted keys so runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -246,10 +246,7 @@ def _write_output(text: str, args) -> None:
 
 
 def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None} | {
-        "seed": args.seed,
-        "command": args.command,
-    }
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None} | {"command": args.command}
 
 
 def _verdict_row(n: int, m: int, verdict: purefield.MonogenityVerdict) -> dict:
@@ -274,9 +271,9 @@ def _verdict_row(n: int, m: int, verdict: purefield.MonogenityVerdict) -> dict:
 
 def _cmd_analyze(args) -> int:
     started = time.perf_counter()
-    verdict = purefield.analyze(args.n, args.m, seed=args.seed, split_degree_budget=args.split_budget)
+    verdict = purefield.analyze(args.n, args.m)
     payload = {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(args.n, args.m, verdict)]}
-    config = _config_echo(args, ("n", "m", "split_budget", "format"))
+    config = _config_echo(args, ("n", "m", "format"))
     _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
     return 0
 
@@ -301,7 +298,7 @@ def _cmd_polygon(args) -> int:
             raise ValueError(f"{args.phi} is not a factor of the polynomial mod {args.p}")
         lifts = [phi]
     else:
-        lifts = [IntPoly.lift(fb) for fb, _ in fppoly.factor(fbar, args.seed).factors]
+        lifts = [IntPoly.lift(fb) for fb, _ in fppoly.factor(fbar).factors]
     entries = []
     for phi in lifts:
         exp = phi_expand(F, phi)
@@ -327,7 +324,7 @@ def _cmd_polygon(args) -> int:
 def _cmd_factor(args) -> int:
     started = time.perf_counter()
     F = _input_poly(args)
-    split = ore.ore_split(F, args.p, args.seed)
+    split = ore.ore_split(F, args.p)
     payload = {"polynomial": list(F.coeffs), "split": split.to_json_dict()}
     config = _config_echo(args, ("n", "m", "poly", "p", "format"))
     _write_output(_emit(_report(config, payload, started), args), args)
@@ -335,23 +332,23 @@ def _cmd_factor(args) -> int:
 
 
 def _analyze_task(task) -> dict:
-    n, m, seed, split_budget = task
+    n, m = task
     try:
-        verdict = purefield.analyze(n, m, seed=seed, split_degree_budget=split_budget)
+        verdict = purefield.analyze(n, m)
         return _verdict_row(n, m, verdict)
     except Exception as exc:  # noqa: BLE001 - per-instance errors are data
         return {"n": n, "m": m, "status": "error", "error": str(exc)}
 
 
 def _generator_task(task) -> dict:
-    n, a, u, seed = task
+    n, a, u = task
     try:
-        fac = arith.factorize(a, seed)
+        fac = arith.factorize(a)
         if not fac.is_squarefree:
             return {"n": n, "m": a**u, "status": "skipped", "error": f"a={a} not squarefree"}
-        if not set(arith.factorize(n, seed).prime_divisors) <= set(fac.prime_divisors):
+        if not set(arith.factorize(n).prime_divisors) <= set(fac.prime_divisors):
             return {"n": n, "m": a**u, "status": "skipped", "error": f"a={a} misses a prime of n"}
-        verdict = purefield.construct_generator(n, a, u, seed=seed)
+        verdict = purefield.construct_generator(n, a, u)
         return _verdict_row(n, a**u, verdict)
     except Exception as exc:  # noqa: BLE001
         return {"n": n, "m": a**u, "status": "error", "error": str(exc)}
@@ -364,12 +361,12 @@ def _cmd_search(args) -> int:
             raise ValueError("search --mode analyze needs --n-set or --n-range")
         ns = list(_parse_int_list(args.n_set)) if args.n_set else list(_parse_range(args.n_range))
         ms = list(_parse_range(args.m_range))
-        tasks = [(n, m, args.seed, args.split_budget) for n in sorted(ns) for m in ms]
+        tasks = [(n, m) for n in sorted(ns) for m in ms]
         worker = _analyze_task
     else:
         if args.n is None or not args.a_range or args.u is None:
             raise ValueError("search --mode generator needs --n, --a-range and --u")
-        tasks = [(args.n, a, args.u, args.seed) for a in _parse_range(args.a_range)]
+        tasks = [(args.n, a, args.u) for a in _parse_range(args.a_range)]
         worker = _generator_task
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -379,7 +376,7 @@ def _cmd_search(args) -> int:
     rows.sort(key=lambda r: (r["n"], r["m"]))
     errors = sum(1 for r in rows if r.get("status") == "error")
     payload = {"columns": list(_SEARCH_COLUMNS), "rows": rows, "errors": errors}
-    config = _config_echo(args, ("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "split_budget", "jobs", "format"))
+    config = _config_echo(args, ("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "jobs", "format"))
     _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
     return 0 if errors == 0 else 1
 
@@ -416,7 +413,6 @@ def _add_common_poly_args(sub) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     common.add_argument("--format", choices=("json", "text", "csv"), default="json")
     common.add_argument("--out", type=str, default=None, help=f"output file (resolved against ${_OUT_DIR_ENV})")
     parser = argparse.ArgumentParser(prog="monocert", description=__doc__)
@@ -425,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", parents=[common], help="monogenity verdict for x^n - m")
     p_an.add_argument("--n", type=int, required=True)
     p_an.add_argument("--m", type=int, required=True)
-    p_an.add_argument("--split-budget", dest="split_budget", type=int, default=64)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_pg = sub.add_parser("polygon", parents=[common], help="principal polygon data and drawing")
@@ -446,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--n", type=int, default=None, help="generator mode: fixed degree")
     p_se.add_argument("--a-range", dest="a_range", type=str, default=None, help="generator mode: base range a:b")
     p_se.add_argument("--u", type=int, default=None, help="generator mode: exponent")
-    p_se.add_argument("--split-budget", dest="split_budget", type=int, default=64)
     p_se.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_se.set_defaults(func=_cmd_search)
 

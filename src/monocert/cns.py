@@ -291,9 +291,7 @@ class MonogenicCnsReport:
     notes: tuple[str, ...]
 
 
-def cns_from_monogenic(
-    n: int, a: int, u: int, radius: int = 1, step_cap: int | None = None, seed: int = 0
-) -> MonogenicCnsReport:
+def cns_from_monogenic(n: int, a: int, u: int, radius: int = 1, step_cap: int | None = None) -> MonogenicCnsReport:
     """Digit system x^n - a on the generator certified for x^n - a^u.
 
     The generator construction guarantees a power integral basis, which is the
@@ -301,7 +299,7 @@ def cns_from_monogenic(
     for binomials (negative and zero coefficients), so the canonical property
     is reported as measured box evidence, never asserted.
     """
-    verdict = purefield.construct_generator(n, a, u, seed=seed)
+    verdict = purefield.construct_generator(n, a, u)
     G = verdict.generator_poly
     basis = CnsBasis(G, "standard")
     kov = kovacs_hypothesis(G)

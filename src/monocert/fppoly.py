@@ -12,9 +12,10 @@ Rabin irreducibility test runs on the lists directly.
 An element of F_q is a residue: its reduced coefficient tuple over phi (of
 degree below deg phi), with ints in [0, p), constant first, trimmed, and ()
 for zero.  phi travels beside it as an explicit monic `FpPoly` base.  The
-engine factors polynomials (squarefree decomposition, distinct-degree, seeded
-equal-degree splitting) over any of three field backends, each of which takes
-residues in with `from_residue` and gives them back with `to_residue`:
+engine factors polynomials (squarefree decomposition, distinct-degree,
+randomized equal-degree splitting) over any of three field backends, each of
+which takes residues in with `from_residue` and gives them back with
+`to_residue`:
 
 * `_PrimeField`: F_p with int elements.  `factor` uses it, and so does F_q
   when deg phi = 1, with a residue's constant coefficient as the int.
@@ -36,24 +37,27 @@ residues in with `from_residue` and gives them back with `to_residue`:
   Euclid; the backend above the threshold and the reference the others are
   tested against.
 
-`fq_factor` and `fq_is_separable` take the base and residue coefficients,
-validate both, convert them once into the backend picked from q and return
-residues.  Factors are sorted by their residues under every backend, so the
-output does not depend on which one ran.
+`fq_factor` takes the base and residue coefficients, validates both,
+converts them once into the backend picked from q and returns residues;
+`fq_is_separable` reads separability off its multiplicities.  Factors are
+sorted by their residues under every backend, so the output does not depend
+on which one ran.  Equal-degree splitting draws from `random.Random(0)`,
+built afresh per call; the draws decide only how a product is split, and the
+sorted factor list is the same for every stream.
 
-Four pure functions sit behind bounded LRU caches of _CACHE_SIZE = 1024
-results each, keyed by their reduced input: `factor` by (FpPoly, seed),
-`is_irreducible` by the FpPoly, `fq_factor` by (base, residue tuple, seed)
-and `fq_is_separable` by (base, residue tuple).  Inputs are validated before
+Three pure functions sit behind bounded LRU caches of _CACHE_SIZE = 1024
+results each, keyed by their reduced input: `factor` and `is_irreducible` by
+the FpPoly, `fq_factor` by (base, residue tuple).  Inputs are validated before
 the lookup, so a malformed one raises as it would uncached; results are
 immutable, so a hit returns the stored object.  x^n - m mod p depends only on
 m mod p, so along a window of consecutive m the same inputs come back every p
 values of m.  In one pass over the benchmark's `campaign` schedule (seed 1:
 240 items, windows of 80 consecutive m for n = 12, 27, 30), 207 of the 219
 `factor` calls (12 distinct inputs), 586 of the 614 `is_irreducible` calls
-(28) and 606 of the 734 calls each of `fq_factor` and `fq_is_separable` (128)
-repeat an earlier input.  The caches live as long as the process, so `search`
-reuses results across its rows; a one-shot `analyze` has nothing to reuse.
+(28) and 1340 of the 1468 `fq_factor` calls (128) repeat an earlier input;
+half of those `fq_factor` calls come through `fq_is_separable`.  The caches
+live as long as the process, so `search` reuses results across its rows; a
+one-shot `analyze` has nothing to reuse.
 Nothing keyed by an integer input (m, n or their factors) is cached.
 """
 
@@ -480,15 +484,9 @@ def _checked_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> tuple[
         raise ValueError("base must be monic of degree >= 1")
     p, d = base.p, base.degree
     for c in coeffs:
-        if not isinstance(c, tuple) or len(c) > d or (c and not c[-1]) or not all(0 <= a < p for a in c):
+        if not isinstance(c, tuple) or len(c) > d or (c and not (c[-1] and min(c) >= 0 and max(c) < p)):
             raise ValueError(f"coefficient {c!r} is not a reduced residue modulo {base}")
     return tuple(coeffs)
-
-
-def _residues_in(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> tuple:
-    """(backend, the validated residues as its elements, trimmed)."""
-    K = _fq_backend(base)
-    return K, _trim(K, [K.from_residue(c) for c in coeffs])
 
 
 def _trim(K, f):
@@ -689,16 +687,14 @@ class FactorMultiset:
     factors: tuple[tuple[FpPoly, int], ...]
 
 
-@_cached(lambda f, seed=0: (f, seed))
-def factor(f: FpPoly, seed: int = 0) -> FactorMultiset:
-    """Factor nonzero f into monic irreducibles; deterministic for fixed seed."""
+@_cached(lambda f: (f,))
+def factor(f: FpPoly) -> FactorMultiset:
+    """Factor nonzero f into monic irreducibles, sorted by degree, then coefficients."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return FactorMultiset(f.lc, ())
-    K = _PrimeField(f.p)
-    rng = random.Random(seed)
-    pairs = _factor_list(K, list(f.coeffs), rng)
+    pairs = _factor_list(_PrimeField(f.p), list(f.coeffs), random.Random(0))
     factors = tuple((FpPoly(f.p, cs), m) for cs, m in pairs)
     return FactorMultiset(f.lc, factors)
 
@@ -753,35 +749,34 @@ def count_degree_d_factors(p: int, d: int, u: int, m: int) -> int:
     return count
 
 
-@_cached(lambda base, coeffs: (base, _checked_residues(base, coeffs)))
 def fq_is_separable(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> bool:
-    """Separability (gcd with the derivative is 1) of a nonzero polynomial over F_p[x]/(base).
+    """Separability of a nonzero polynomial over F_p[x]/(base): no factor of `fq_factor` repeats.
 
-    coeffs[j] is the coefficient of y^j as a residue: its reduced coefficient
-    tuple over base, ints in [0, p), constant first, trimmed, () for zero.
-    Raises ValueError unless base is monic of degree >= 1, every coefficient
-    is such a residue and the polynomial is nonzero.
+    Takes coefficients as `fq_factor` does and raises its ValueErrors, with
+    its own message for the zero polynomial.
     """
-    K, f = _residues_in(base, coeffs)
-    if not f:
+    if not any(coeffs):
+        _checked_residues(base, coeffs)  # a malformed input raises as it does in fq_factor
         raise ValueError("separability of zero undefined")
-    return len(_pgcd(K, f, _pderiv(K, f))) == 1
+    return all(mult == 1 for _, mult in fq_factor(base, coeffs))
 
 
-@_cached(lambda base, coeffs, seed=0: (base, _checked_residues(base, coeffs), seed))
+@_cached(lambda base, coeffs: (base, _checked_residues(base, coeffs)))
 def fq_factor(
-    base: FpPoly, coeffs: Sequence[tuple[int, ...]], seed: int = 0
+    base: FpPoly, coeffs: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     """Factor a nonzero polynomial over F_p[x]/(base) into monic irreducibles with multiplicities.
 
-    Coefficients, given and returned, are residues as in `fq_is_separable`,
-    which also names the ValueErrors.  Factors are sorted by degree, then by
-    their coefficients' residues.
+    coeffs[j] is the coefficient of y^j as a residue: its reduced coefficient
+    tuple over base, ints in [0, p), constant first, trimmed, () for zero.
+    Factors come back in that format, sorted by degree, then by their
+    coefficients' residues.  Raises ValueError unless base is monic of degree
+    >= 1, every coefficient is such a residue and the polynomial is nonzero.
     """
-    K, f = _residues_in(base, coeffs)
+    K = _fq_backend(base)
+    f = _trim(K, [K.from_residue(c) for c in coeffs])
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if len(f) == 1:
         return ()
-    rng = random.Random(seed)
-    return tuple((tuple(K.to_residue(c) for c in g), m) for g, m in _factor_list(K, f, rng))
+    return tuple((tuple(K.to_residue(c) for c in g), m) for g, m in _factor_list(K, f, random.Random(0)))

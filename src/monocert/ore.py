@@ -79,7 +79,7 @@ class IndexDivisorWitness:
     irreducible_count: int
 
 
-def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
+def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     """Split p in the order defined by monic F.
 
     Slots are enumerated from sides whose residual polynomial is separable;
@@ -96,7 +96,7 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = F.reduce_mod(p)
-    factors = fppoly.factor(fbar, seed).factors
+    factors = fppoly.factor(fbar).factors
     slots: list[FactorSlot] = []
     exact = True
     index_val = 0
@@ -111,7 +111,7 @@ def ore_split(F: IntPoly, p: int, seed: int = 0) -> PrimeSplit:
             if not res.is_separable():
                 exact = False
                 continue
-            for factor_coeffs, fmult in fppoly.fq_factor(res.base, res.coeffs, seed):
+            for factor_coeffs, fmult in fppoly.fq_factor(res.base, res.coeffs):
                 slots.append(
                     FactorSlot(
                         phi=phi,
@@ -135,13 +135,13 @@ def primes_of_degree(split: PrimeSplit, d: int) -> int:
     return sum(1 for s in split.slots if s.f == d)
 
 
-def common_index_divisor(F: IntPoly, p: int, seed: int = 0) -> IndexDivisorWitness | None:
+def common_index_divisor(F: IntPoly, p: int) -> IndexDivisorWitness | None:
     """Smallest d whose prime count beats the irreducible count, if any.
 
     A positive answer certifies that p divides the index of every generator of
     the field, which rules out a power integral basis.
     """
-    split = ore_split(F, p, seed)
+    split = ore_split(F, p)
     for d in range(1, F.degree + 1):
         ideals = primes_of_degree(split, d)
         if ideals == 0:

@@ -257,7 +257,7 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     return ClosedFormData(p, r, u, phi, U, T, R, A0, nu0, points)
 
 
-def theorem_general_test(n: int, m: int, *, seed: int = 0) -> MonogenityVerdict | None:
+def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     """Splitting-count non-monogenity criterion for x^n - m.
 
     For each odd prime p | n coprime to m (n = u * p^r), the polygon of every
@@ -272,7 +272,7 @@ def theorem_general_test(n: int, m: int, *, seed: int = 0) -> MonogenityVerdict 
     """
     if not binomial_irreducible(n, m):
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
-    for p in arith.factorize(n, seed).prime_divisors:
+    for p in arith.factorize(n).prime_divisors:
         if p == 2 or m % p == 0:
             continue
         u, r = _split_n(n, p)
@@ -317,7 +317,7 @@ class CorollaryReport:
     discrepancy: str | None = None
 
 
-def corollary_checks(family: str, r: int, s: int, m: int, *, seed: int = 0) -> CorollaryReport:
+def corollary_checks(family: str, r: int, s: int, m: int) -> CorollaryReport:
     """Evaluate a family hypothesis verbatim and compare with the general criterion.
 
     The family conditions are congruence shortcuts; each firing must be
@@ -340,7 +340,7 @@ def corollary_checks(family: str, r: int, s: int, m: int, *, seed: int = 0) -> C
         cond1 = r >= 1 and s >= 2 and m % 11 == 10 and pow(m, 10, 11**3) == 1
         cond2 = r >= 6 and s >= 1 and pow(m, 4, 5**6) == 1
     fired = 1 if cond1 else 2 if cond2 else None
-    verdict = theorem_general_test(n, m, seed=seed)
+    verdict = theorem_general_test(n, m)
     fires = fired is not None
     agree = (not fires) or verdict is not None
     discrepancy = None
@@ -352,7 +352,7 @@ def corollary_checks(family: str, r: int, s: int, m: int, *, seed: int = 0) -> C
     return CorollaryReport(family, r, s, m, fires, fired, verdict, agree, discrepancy)
 
 
-def detect_power_decomposition(n: int, m: int, seed: int = 0) -> tuple[int, int] | None:
+def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
     """(a, u) with m = a^u satisfying the generator-construction hypotheses, largest u.
 
     Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b, so m
@@ -374,7 +374,7 @@ def detect_power_decomposition(n: int, m: int, seed: int = 0) -> tuple[int, int]
         return None
     if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
         return None
-    if any(b % p for p in arith.factorize(n, seed).prime_divisors) or not arith.factorize(b, seed).is_squarefree:
+    if any(b % p for p in arith.factorize(n).prime_divisors) or not arith.factorize(b).is_squarefree:
         return None
     return (-b if m < 0 else b), u
 
@@ -398,7 +398,7 @@ def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
     return g % q != 0, ((n - 1) * (k - 1) + g - 1) // 2
 
 
-def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityVerdict:
+def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     """Power-basis generator for the field of x^n - a^u via a Bezout exponent pair.
 
     theta = alpha^t / a^s is a root of G = x^n - a (u*t - n*s = 1); the claim
@@ -415,10 +415,10 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
         raise ValueError(f"gcd(u, n) = {math.gcd(u, n)} != 1")
     if abs(a) < 2:
         raise ValueError("|a| >= 2 required")
-    a_fac = arith.factorize(a, seed)
+    a_fac = arith.factorize(a)
     if not a_fac.is_squarefree:
         raise ValueError(f"a = {a} is not squarefree")
-    n_primes = set(arith.factorize(n, seed).prime_divisors)
+    n_primes = set(arith.factorize(n).prime_divisors)
     if not n_primes <= set(a_fac.prime_divisors):
         missing = sorted(n_primes - set(a_fac.prime_divisors))
         raise ValueError(f"every prime of n must divide a; missing {missing}")
@@ -447,21 +447,19 @@ def construct_generator(n: int, a: int, u: int, *, seed: int = 0) -> MonogenityV
     )
 
 
-def analyze(
-    n: int,
-    m: int,
-    *,
-    seed: int = 0,
-    split_degree_budget: int = 64,
-) -> MonogenityVerdict:
+# Largest degree whose direct splits analyze attempts.
+_SPLIT_DEGREE_BUDGET = 64
+
+
+def analyze(n: int, m: int) -> MonogenityVerdict:
     """Full verdict pipeline for x^n - m.
 
     Order: generator construction when m = a^u under its hypotheses (m is
     factored only when it is a perfect power, and then only its root); then the
-    splitting-count criterion; then direct splits with the common-index-divisor
-    test at every prime of n*m below n (degree permitting).  Otherwise an
-    honest Inconclusive: monogenity is claimed only through the verified
-    construction.
+    splitting-count criterion; then, for n up to _SPLIT_DEGREE_BUDGET = 64,
+    direct splits with the common-index-divisor test at every prime of n*m
+    below n.  Otherwise an honest Inconclusive: monogenity is claimed only
+    through the verified construction.
 
     The direct route answers a prime p | m in closed form (`_pure_split`) and
     only records whether the split is p-regular: an exact split there is never
@@ -470,16 +468,16 @@ def analyze(
     """
     _check_field(n, m)
     notes: list[str] = []
-    decomp = detect_power_decomposition(n, m, seed)
+    decomp = detect_power_decomposition(n, m)
     if decomp is not None:
         a, u = decomp
-        return construct_generator(n, a, u, seed=seed)
+        return construct_generator(n, a, u)
     notes.append("no squarefree power decomposition matches the generator construction")
-    verdict = theorem_general_test(n, m, seed=seed)
+    verdict = theorem_general_test(n, m)
     if verdict is not None:
         return verdict
     notes.append("splitting-count criterion did not fire")
-    if n <= split_degree_budget:
+    if n <= _SPLIT_DEGREE_BUDGET:
         F = IntPoly.binomial(n, m)
         candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
         irregular = "p={}: splitting not p-regular; only an index lower bound is known"
@@ -489,7 +487,7 @@ def analyze(
                     notes.append(irregular.format(p))
                 continue
             try:
-                witness = ore.common_index_divisor(F, p, seed)
+                witness = ore.common_index_divisor(F, p)
             except ore.NotPRegular:
                 notes.append(irregular.format(p))
                 continue
@@ -505,5 +503,5 @@ def analyze(
                 )
         notes.append(f"no common index divisor among primes {candidates}")
     else:
-        notes.append(f"degree {n} exceeds the direct-split budget {split_degree_budget}")
+        notes.append(f"degree {n} exceeds the direct-split budget {_SPLIT_DEGREE_BUDGET}")
     return MonogenityVerdict.inconclusive(n, m, notes)

@@ -87,7 +87,7 @@ def test_criterion_3_closed_form_oracle():
         n = u * p**r
         if not purefield.binomial_irreducible(n, m):
             continue
-        fm = fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p), 0)
+        fm = fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p))
         phi_bar, _ = rng.choice(list(fm.factors))
         phi = purefield.closed_form_lift(u, m, p, phi_bar)
         data = purefield.closed_form_polygon(n, m, p, phi)
@@ -132,7 +132,7 @@ def test_criterion_5_split_consistency():
         F = IntPoly([rng.randint(-30, 30) for _ in range(deg)] + [1])
         p = rng.choice([2, 3, 5, 7, 11, 13])
         try:
-            split = ore.ore_split(F, p, seed=tried)
+            split = ore.ore_split(F, p)
         except ValueError:
             continue
         if not split.exact:
@@ -142,7 +142,7 @@ def test_criterion_5_split_consistency():
             checks.append((f"sum e*f for {F} at {p}", False))
         if resultant(F, derivative(F)) % p != 0:
             unramified += 1
-            degs = sorted(f.degree for f, mult in fppoly.factor(F.reduce_mod(p), 3).factors for _ in range(mult))
+            degs = sorted(f.degree for f, mult in fppoly.factor(F.reduce_mod(p)).factors for _ in range(mult))
             if sorted(s.f for s in split.slots) != degs or any(s.e != 1 for s in split.slots):
                 checks.append((f"unramified pattern for {F} at {p}", False))
     checks.append(("500 exact splits", exact_count == 500))
@@ -219,7 +219,7 @@ def test_criterion_8_determinism(capsys):
         ("analyze", "--n", "4", "--m", "17"),
         ("analyze", "--n", "27", "--m", "82"),
         ("polygon", "--n", "4", "--m", "17", "--p", "2", "--render", "svg"),
-        ("factor", "--n", "3", "--m", "2", "--p", "5", "--seed", "9"),
+        ("factor", "--n", "3", "--m", "2", "--p", "5"),
         ("search", "--n-set", "27", "--m-range", "80:84"),
         ("search", "--n-set", "27", "--m-range", "80:84", "--jobs", "2"),
         ("cns", "verify", "--poly", "x^2+2x+2", "--radius", "5"),

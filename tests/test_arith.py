@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -99,8 +100,8 @@ class TestFactorize:
 
     def test_rho_range_and_determinism(self):
         n = 1000003 * 1000033  # both prime, past the trial bound
-        f1 = arith.factorize(n, seed=5)
-        f2 = arith.factorize(n, seed=5)
+        f1 = arith.factorize(n)
+        f2 = arith.factorize(n)
         assert f1 == f2
         assert f1.factors == ((1000003, 1), (1000033, 1))
 
@@ -131,13 +132,23 @@ _PAST_TRIAL_CASES = (
 class TestFactorizePastTrialBound:
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("factors", _PAST_TRIAL_CASES)
-    def test_factors_reconstruct_and_seed_independence(self, factors, sign):
+    def test_factors_reconstruct_and_repeat(self, factors, sign):
         value = sign * math.prod(p**e for p, e in factors)
-        f = arith.factorize(value, seed=0)
+        f = arith.factorize(value)
         assert f.factors == factors
         assert f.sign == sign
         assert f.reconstruct() == value
-        assert arith.factorize(value, seed=5) == f
+        assert arith.factorize(value) == f
+
+    @pytest.mark.parametrize("low", (750_000, 800_003, 900_007, 950_000, 1_000_000))
+    def test_rho_divides_for_any_stream(self, low):
+        # the rho path depends on its random stream; that it finds a proper divisor does not
+        p = next(k for k in range(low, 2 * low) if arith.is_prime(k))
+        q = next(k for k in range(p + 2, 2 * p) if arith.is_prime(k))
+        n = p * q  # two 20-bit primes: a 40-bit semiprime
+        for s in range(6):
+            g = arith._pollard_rho(n, random.Random(s))
+            assert 1 < g < n and n % g == 0, (n, s)
 
 
 class TestSquarefree:

@@ -79,6 +79,13 @@ class TestAnalyzeCommand:
             ("search", "--n-set", "4", "--nu-cap", "5"),
             ("search", "--n-set", "4", "--d-bound", "3"),
             ("factor", "--n", "4", "--m", "17", "--p", "2", "--jobs", "2"),
+            ("analyze", "--n", "4", "--m", "17", "--seed", "0"),
+            ("polygon", "--n", "4", "--m", "17", "--p", "2", "--seed", "0"),
+            ("factor", "--n", "4", "--m", "17", "--p", "2", "--seed", "0"),
+            ("search", "--n-set", "4", "--seed", "0"),
+            ("cns", "verify", "--poly", "x^2+2x+2", "--radius", "1", "--seed", "0"),
+            ("analyze", "--n", "4", "--m", "17", "--split-budget", "64"),
+            ("search", "--n-set", "4", "--split-budget", "64"),
         ],
     )
     def test_removed_flags_exit_2(self, argv):
@@ -181,15 +188,11 @@ class TestSearchCommand:
         assert code == 1
         assert out == golden.read_text()
 
-    def test_config_echoes_split_budget(self, capsys):
-        args = ["search", "--n-set", "4", "--m-range", "17:17"]
-        default = run_json(capsys, *args)
-        assert default["config"]["split_budget"] == 64
-        assert default["rows"][0]["status"] == "not_monogenic"
-        small = run_json(capsys, *args, "--split-budget", "2")
-        assert small["config"]["split_budget"] == 2
-        assert small["rows"][0]["status"] == "inconclusive"
-        assert "nu_cap" not in default["config"]
+    def test_config_has_no_removed_knobs(self, capsys):
+        for args in (["search", "--n-set", "4", "--m-range", "17:17"], ["analyze", "--n", "4", "--m", "17"]):
+            doc = run_json(capsys, *args)
+            assert doc["rows"][0]["status"] == "not_monogenic"
+            assert not {"seed", "split_budget", "nu_cap"} & set(doc["config"]), args
 
     def test_empty_range(self, capsys):
         doc = run_json(capsys, "search", "--n-set", "27", "--m-range", "5:4")

@@ -145,13 +145,15 @@ class TestFactor:
             p = rng.choice([2, 3, 5, 7, 11])
             deg = rng.randint(1, 12)
             f = FpPoly(p, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
-            fm = fppoly.factor(f, seed=17)
+            fm = fppoly.factor(f)
             assert _product(fm, p) == f, f
             assert all(fppoly.is_irreducible(g) for g, _ in fm.factors)
 
     def test_determinism(self):
         f = FpPoly(7, [3, 1, 4, 1, 5, 0, 2, 1])
-        assert fppoly.factor(f, seed=3) == fppoly.factor(f, seed=3)
+        first = fppoly.factor(f)
+        fppoly.factor.cache_clear()
+        assert fppoly.factor(f) == first
 
 
 class TestCountDegreeDFactors:
@@ -173,7 +175,7 @@ class TestCountDegreeDFactors:
         for p in (2, 3, 5, 7, 11):
             for u in range(1, 13):
                 for m in range(-50, 51):
-                    fm = fppoly.factor(FpPoly(p, [-m] + [0] * (u - 1) + [1]), seed=0)
+                    fm = fppoly.factor(FpPoly(p, [-m] + [0] * (u - 1) + [1]))
                     for d in range(1, u + 1):
                         assert fppoly.count_degree_d_factors(p, d, u, m) == sum(g.degree == d for g, _ in fm.factors), (p, d, u, m)
 
@@ -206,6 +208,21 @@ class TestSeparability:
 
     def test_frobenius_composite(self):
         assert not _is_separable(P(3, 1, 0, 0, 1))  # x^3 + 1 = (x+1)^3
+
+    @pytest.mark.parametrize("p,d", [(7, 1), (2**31 - 1, 1), (2, 2), (3, 2), (3, 4), (2, 7), (37, 2)])
+    def test_fq_is_separable_matches_gcd_oracle(self, p, d):
+        # prime fields, Zech fields (q <= 81) and _ExtField fields, on inputs that include g(y^p) and squares
+        base = _first_irreducible(p, d)
+        K = fppoly._fq_backend(base)
+        rng = random.Random(f"sep:{p}:{d}")
+        seen = set()
+        for _ in range(4):
+            for f in _fq_test_inputs(fppoly._ExtField(base), rng):
+                g = [K.from_residue(c) for c in f]
+                want = len(_pgcd(K, g, _pderiv(K, g))) == 1
+                assert fppoly.fq_is_separable(base, f) == want, f
+                seen.add(want)
+        assert seen == {True, False}
 
 
 class TestExtensionField:
@@ -250,7 +267,7 @@ class TestExtensionField:
         # y^2 + 1 = (y - x)(y + x) over F_9 with x^2 = -1
         base = self._base()
         K = fppoly._ExtField(base)
-        factors = fppoly.fq_factor(base, [(1,), (), (1,)], seed=0)
+        factors = fppoly.fq_factor(base, [(1,), (), (1,)])
         assert len(factors) == 2
         assert all(mult == 1 and len(g) == 2 for g, mult in factors)
         roots = {K.mul(K.neg(g[0]), K.inv(g[1])) for g, _ in factors}
@@ -271,7 +288,7 @@ class TestExtensionField:
         x, one = (0, 1), (1,)
         f = [x, one, one]
         assert fppoly.fq_is_separable(base, f)
-        factors = fppoly.fq_factor(base, f, seed=1)
+        factors = fppoly.fq_factor(base, f)
         total = sum(len(g) - 1 for g, mult in factors for _ in range(mult))
         assert total == 2
         # reconstruct the product
@@ -303,6 +320,26 @@ def _ext_product(K, factors):
     return prod
 
 
+def _fq_test_inputs(K, rng):
+    """Random polynomials over K, products with repeated and equal-degree factors, and g(y^p)."""
+
+    def rand_poly(deg):
+        lead = K.rand(rng)
+        while lead == K.zero:
+            lead = K.rand(rng)
+        return [K.rand(rng) for _ in range(deg)] + [lead]
+
+    out = [rand_poly(rng.randint(1, 6)) for _ in range(3)]
+    linears = [rand_poly(1) for _ in range(3)]
+    out.append(_ext_product(K, [(g, 1) for g in linears] + [(rand_poly(2), 2)]))
+    if K.char <= 7:
+        g = rand_poly(2)
+        spread = [K.zero] * (K.char * (len(g) - 1) + 1)
+        spread[:: K.char] = g
+        out.append(spread)
+    return out
+
+
 class TestFlatBackends:
     """fq_factor on the flat backends against the _ExtField reference."""
 
@@ -310,43 +347,39 @@ class TestFlatBackends:
     FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2**31 - 1, 1)]
     FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 7), (2, 10), (37, 2)]
 
-    def _inputs(self, K, rng):
-        """Random polynomials, products with repeated and equal-degree factors, and g(y^p)."""
-
-        def rand_poly(deg):
-            lead = K.rand(rng)
-            while lead == K.zero:
-                lead = K.rand(rng)
-            return [K.rand(rng) for _ in range(deg)] + [lead]
-
-        out = [rand_poly(rng.randint(1, 6)) for _ in range(3)]
-        linears = [rand_poly(1) for _ in range(3)]
-        out.append(_ext_product(K, [(g, 1) for g in linears] + [(rand_poly(2), 2)]))
-        if K.char <= 7:
-            g = rand_poly(2)
-            spread = [K.zero] * (K.char * (len(g) - 1) + 1)
-            spread[:: K.char] = g
-            out.append(spread)
-        return out
-
     @pytest.mark.parametrize("p,d", FIELDS)
     def test_matches_reference(self, p, d):
         base = _first_irreducible(p, d)
         K = fppoly._ExtField(base)
         rng = random.Random(f"fq:{p}:{d}")
-        for f in self._inputs(K, rng):
-            seed = rng.randrange(100)
-            got = fppoly.fq_factor(base, f, seed=seed)
-            want = fppoly._factor_list(K, list(f), random.Random(seed))
+        for f in _fq_test_inputs(K, rng):
+            got = fppoly.fq_factor(base, f)
+            want = fppoly._factor_list(K, list(f), random.Random(0))
             assert got == tuple((tuple(g), m) for g, m in want)
             assert _ext_product(K, got) == fppoly._pmonic(K, f)
             assert all(g[-1] == K.one for g, _ in got)
-            assert fppoly.fq_is_separable(base, f) == all(m == 1 for _, m in got)
             if d >= 2:
                 # the Zech engine itself, also for fields fq_factor leaves to _ExtField
                 Z = fppoly._ZechField(base)
-                zech = fppoly._factor_list(Z, [Z.from_residue(c) for c in f], random.Random(seed))
+                zech = fppoly._factor_list(Z, [Z.from_residue(c) for c in f], random.Random(0))
                 assert tuple((tuple(Z.to_residue(c) for c in g), m) for g, m in zech) == got
+
+    @pytest.mark.parametrize(
+        "p,d,backend",
+        [(7, 1, fppoly._PrimeField), (3, 2, fppoly._ZechField), (2, 7, fppoly._ExtField), (37, 2, fppoly._ExtField)],
+    )
+    def test_factor_list_independent_of_stream(self, p, d, backend):
+        # the random stream picks the splitting path of equal-degree factoring, never the sorted answer
+        base = _first_irreducible(p, d)
+        K = backend(p) if d == 1 else backend(base)
+        rng = random.Random(f"stream:{p}:{d}")
+        inputs = _fq_test_inputs(K, rng)
+        inputs += [_ext_product(K, [(g, 1) for g in inputs[:3]] + [(inputs[3], 2)])]
+        for f in inputs:
+            first = fppoly._factor_list(K, list(f), random.Random(0))
+            assert _ext_product(K, first) == fppoly._pmonic(K, f)
+            for s in range(1, 6):
+                assert fppoly._factor_list(K, list(f), random.Random(s)) == first, (p, d, s)
 
     @pytest.mark.parametrize(
         "p,d,backend",
@@ -404,21 +437,21 @@ class TestFlatBackends:
         assert power == R.one
 
 
-_CACHED = (fppoly.factor, fppoly.is_irreducible, fppoly.fq_factor, fppoly.fq_is_separable)
+_CACHED = (fppoly.factor, fppoly.is_irreducible, fppoly.fq_factor)
 
 
 @st.composite
 def _fq_inputs(draw):
-    """(base, residue coefficients, seed) over F_p[x]/(base) for q from 2 to 2**7, beyond the Zech bound."""
+    """(base, residue coefficients) over F_p[x]/(base) for q from 2 to 2**7, beyond the Zech bound."""
     p, d = draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 7)]))
     base = _first_irreducible(p, d)
     residue = st.lists(st.integers(0, p - 1), max_size=d).map(lambda cs: FpPoly(p, cs).coeffs)
     coeffs = draw(st.lists(residue, min_size=1, max_size=6).filter(any))
-    return base, coeffs, draw(st.integers(0, 5))
+    return base, coeffs
 
 
 class TestCaches:
-    """The four cached functions against their uncached bodies."""
+    """The three cached functions against their uncached bodies."""
 
     def _check(self, fn, args, same_key):
         fn.cache_clear()
@@ -432,26 +465,24 @@ class TestCaches:
     @given(
         p=st.sampled_from([2, 3, 5, 7, 2**31 - 1]),
         cs=st.lists(st.integers(-50, 50), max_size=8),
-        seed=st.integers(0, 5),
     )
-    def test_fp_results_match_uncached(self, p, cs, seed):
+    def test_fp_results_match_uncached(self, p, cs):
         f = FpPoly(p, cs)
         if not f.is_zero:
-            self._check(fppoly.factor, (f, seed), (FpPoly(p, list(f.coeffs)), seed))
+            self._check(fppoly.factor, (f,), (FpPoly(p, list(f.coeffs)),))
         if f.degree >= 1 and f.is_monic:
             self._check(fppoly.is_irreducible, (f,), (FpPoly(p, list(f.coeffs)),))
 
     @given(_fq_inputs())
     def test_fq_results_match_uncached(self, case):
-        base, coeffs, seed = case
+        base, coeffs = case
         equal_base = FpPoly(base.p, list(base.coeffs))
-        self._check(fppoly.fq_factor, (base, tuple(coeffs), seed), (equal_base, list(coeffs), seed))
-        self._check(fppoly.fq_is_separable, (base, tuple(coeffs)), (equal_base, list(coeffs)))
+        self._check(fppoly.fq_factor, (base, tuple(coeffs)), (equal_base, list(coeffs)))
 
-    def test_keyword_and_positional_seed_share_an_entry(self):
+    def test_keyword_and_positional_share_an_entry(self):
         f = P(5, 1, 0, 0, 1)
         fppoly.factor.cache_clear()
-        assert fppoly.factor(f, 3) is fppoly.factor(f, seed=3)
+        assert fppoly.factor(f) is fppoly.factor(f=f)
         assert fppoly.factor.cache_info().currsize == 1
 
     def test_size_stays_bounded(self):

@@ -82,7 +82,7 @@ class TestClosedFormPolygon:
         # (9, 7) at x - 1 as before; r = 2 with u > 1 (deg phi 1 and 2); negative m, r = 1 and r = 2
         instances = [(9, 7, 3, IntPoly([-1, 1]))]
         for n, m, p, u in [(18, 5, 3, 2), (45, 2, 3, 5), (50, -3, 5, 2), (28, -10, 7, 4), (98, -3, 7, 2)]:
-            for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p), 0).factors:
+            for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
                 instances.append((n, m, p, purefield.closed_form_lift(u, m, p, phi_bar)))
         assert {phi.degree for *_, phi in instances} >= {1, 2}
         for n, m, p, phi in instances:
@@ -136,7 +136,7 @@ class TestClosedFormPolygon:
             n = u * p**r
             if not purefield.binomial_irreducible(n, m):
                 continue
-            fm = fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p), 0)
+            fm = fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p))
             phi_bar, _ = rng.choice(list(fm.factors))
             phi = purefield.closed_form_lift(u, m, p, phi_bar)
             data = purefield.closed_form_polygon(n, m, p, phi)
@@ -397,11 +397,11 @@ class TestFactorOnlyWhatARouteNeeds:
         calls = []
         original = arith.factorize
 
-        def guarded(n, seed=0):
+        def guarded(n):
             if abs(n) > 2**64:
                 raise AssertionError(f"factorize called on a {abs(n).bit_length()}-bit number")
             calls.append(abs(n))
-            return original(n, seed)
+            return original(n)
 
         monkeypatch.setattr(arith, "factorize", guarded)
         return calls
@@ -461,7 +461,7 @@ class TestAnalyze:
 
     def test_direct_route_errors_propagate(self, monkeypatch):
         # only NotPRegular means "not p-regular"; any other ValueError is a defect and surfaces
-        def broken(F, p, seed=0):
+        def broken(F, p):
             raise ValueError("injected fault")
 
         monkeypatch.setattr(ore, "ore_split", broken)
@@ -469,6 +469,6 @@ class TestAnalyze:
             purefield.analyze(4, 5)  # p = 2 does not divide m, so the direct route splits there
 
     def test_degree_budget(self):
-        v = purefield.analyze(3, 2, split_degree_budget=2)
+        v = purefield.analyze(65, 2)
         assert v.status == "inconclusive"
-        assert any("budget" in note for note in v.notes)
+        assert v.notes[-1] == "degree 65 exceeds the direct-split budget 64"
