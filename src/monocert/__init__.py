@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .arith import IntFactorization, bezout_positive, count_irreducibles, factorize, nu_stable, padic_valuation
 from .cns import BoxReport, CnsBasis, DigitExpansion, cns_from_monogenic, decode, encode, kovacs_hypothesis, verify_box
 from .fppoly import FactorMultiset, FpPoly, count_degree_d_factors, factor
-from .ore import FactorSlot, IndexDivisorWitness, PrimeSplit, common_index_divisor, ore_split, primes_of_degree
+from .ore import FactorSlot, IndexDivisorWitness, PrimeSplit, common_index_divisor, ore_split
 from .polygon import (
     IntPoly,
     PhiExpansion,

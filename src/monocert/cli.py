@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import __version__, arith, cns, fppoly, ore, purefield
+from . import __version__, cns, fppoly, ore, purefield
 from .polygon import IntPoly, phi_expand, polygon_index, principal_polygon
 
 SCHEMA_VERSION = 1
@@ -343,13 +343,9 @@ def _analyze_task(task) -> dict:
 def _generator_task(task) -> dict:
     n, a, u = task
     try:
-        fac = arith.factorize(a)
-        if not fac.is_squarefree:
-            return {"n": n, "m": a**u, "status": "skipped", "error": f"a={a} not squarefree"}
-        if not set(arith.factorize(n).prime_divisors) <= set(fac.prime_divisors):
-            return {"n": n, "m": a**u, "status": "skipped", "error": f"a={a} misses a prime of n"}
-        verdict = purefield.construct_generator(n, a, u)
-        return _verdict_row(n, a**u, verdict)
+        return _verdict_row(n, a**u, purefield.construct_generator(n, a, u))
+    except purefield.GeneratorHypothesisError as exc:
+        return {"n": n, "m": a**u, "status": "skipped", "error": str(exc)}
     except Exception as exc:  # noqa: BLE001
         return {"n": n, "m": a**u, "status": "error", "error": str(exc)}
 

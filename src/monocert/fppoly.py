@@ -23,15 +23,14 @@ which takes residues in with `from_residue` and gives them back with
   element is its discrete log to a primitive element (-1 for zero): multiply
   adds logs, inverse negates, add is one Zech-table lookup.  The exp, log
   and Zech tables (about 3*q ints) are built on first use of a field and
-  cached for the last 64 (p, phi).  The threshold is the measured
-  crossover (Python 3.11, 2-vCPU Xeon), taken against the reference backend
-  when its elements were still objects wrapping `FpPoly`.  On sampled
-  `analyze(n, m)` calls whose residue fields have 8 < q <= 81, Zech with the
-  tables built anew for every call took 691 ms against 915 ms.  On calls
-  whose fields have 81 < q <= 1024 (n = 20-46, m < 200), a table costs
-  1-15 ms and the residual polynomials are mostly linear: Zech took 389 ms
-  cold and 145 ms warm against 227 ms, so a one-shot call would pay for the
-  tables.
+  cached for the last 64 (p, phi).  Measured against `_ExtField` (Python
+  3.11, 2-vCPU Xeon, one cold pass per fresh process): on the benchmark's
+  `campaign` schedule for seed 11, `fq_factor` took 23-27 ms with Zech up
+  to q = 81, 7-8 ms of it building 21 tables, against 42-46 ms with
+  `_ExtField` for every field with deg phi >= 2.  On `analyze(n, m)` for
+  n = 20-46 and every third m < 200, a threshold of 1024 took `fq_factor`
+  from 416-436 ms to 584-597 ms, 280-288 ms of it building 133 tables:
+  above q = 81 only a warm table pays, and a one-shot call would not.
 * `_ExtField`: F_q with the residue tuples themselves as elements, multiplied
   by the `_PrimeField` kernel and reduced mod phi, inverted by extended
   Euclid; the backend above the threshold and the reference the others are

@@ -10,6 +10,7 @@ lower bound is reported, never a splitting claim.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import arith, fppoly
@@ -126,27 +127,19 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     return PrimeSplit(p, tuple(slots), exact, index_val)
 
 
-def primes_of_degree(split: PrimeSplit, d: int) -> int:
-    """Number of primes above p with residue degree d; defined only for exact splits."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not split.exact:
-        raise NotPRegular("prime-counting undefined without p-regularity")
-    return sum(1 for s in split.slots if s.f == d)
-
-
 def common_index_divisor(F: IntPoly, p: int) -> IndexDivisorWitness | None:
     """Smallest d whose prime count beats the irreducible count, if any.
 
     A positive answer certifies that p divides the index of every generator of
-    the field, which rules out a power integral basis.
+    the field, which rules out a power integral basis.  Prime counts are
+    defined only for exact splits: otherwise NotPRegular is raised.
     """
     split = ore_split(F, p)
-    for d in range(1, F.degree + 1):
-        ideals = primes_of_degree(split, d)
-        if ideals == 0:
-            continue
+    if not split.exact:
+        raise NotPRegular("prime-counting undefined without p-regularity")
+    counts = Counter(s.f for s in split.slots)
+    for d in sorted(counts):
         bound = arith.count_irreducibles(p, d)
-        if ideals > bound:
-            return IndexDivisorWitness(p, d, ideals, bound)
+        if counts[d] > bound:
+            return IndexDivisorWitness(p, d, counts[d], bound)
     return None

@@ -9,6 +9,8 @@ Three independent certificate routes:
   max(u, 2 deg phi);
 * an explicit generator construction for m = a^u (a squarefree, u coprime to
   n, every prime of n dividing a) whose index is verified prime by prime;
+  `construct_generator` alone decides those hypotheses, and `analyze` reaches
+  it only through `detect_power_decomposition`, a screen that never factors;
 * the direct route: full splitting data at candidate primes and the
   common-index-divisor test.
 
@@ -176,15 +178,6 @@ class ClosedFormData:
         return principal_from_points(self.points)
 
 
-def _split_n(n: int, p: int) -> tuple[int, int]:
-    r = 0
-    u = n
-    while u % p == 0:
-        u //= p
-        r += 1
-    return u, r
-
-
 def closed_form_lift(u: int, m: int, p: int, phi_bar: fppoly.FpPoly) -> IntPoly:
     """Monic lift of phi_bar valid for the closed-form construction.
 
@@ -226,7 +219,8 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
         raise ValueError(f"{p} does not divide {n}")
     if m % p == 0:
         raise ValueError(f"{p} divides m = {m}")
-    u, r = _split_n(n, p)
+    r = arith._valuation(p, n)
+    u = n // p**r
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     phi_bar = phi.reduce_mod(p)
@@ -275,7 +269,8 @@ def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     for p in arith.factorize(n).prime_divisors:
         if p == 2 or m % p == 0:
             continue
-        u, r = _split_n(n, p)
+        r = arith._valuation(p, n)
+        u = n // p**r
         effective = arith.nu_stable(p, m, r + 1)
         for d in range(1, u + 1):
             pd = p**d
@@ -353,11 +348,12 @@ def corollary_checks(family: str, r: int, s: int, m: int) -> CorollaryReport:
 
 
 def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
-    """(a, u) with m = a^u satisfying the generator-construction hypotheses, largest u.
+    """(a, u) with m = a^u, u largest, that passes the generator construction's screen.
 
-    Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b, so m
-    is factored only when it is a perfect power, and then only its root b, once
-    the sign, gcd(u, n) and the primes of n pass.  g is found by taking exact
+    Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b.  The
+    screen keeps a = +-b when the sign allows it, gcd(u, n) = 1 and every prime
+    of n divides b; it never factors, so whether b is squarefree is left to
+    `construct_generator`, which factors b once.  g is found by taking exact
     q-th roots for primes q alone, as long as they exist: the exponents k with
     |m| a k-th power are the divisors of g, so g is the product of the q taken.
     """
@@ -374,13 +370,17 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
         return None
     if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
         return None
-    if any(b % p for p in arith.factorize(n).prime_divisors) or not arith.factorize(b).is_squarefree:
+    if any(b % p for p in arith.factorize(n).prime_divisors):
         return None
     return (-b if m < 0 else b), u
 
 
 class SelfCheckError(RuntimeError):
     """A certificate failed its own verification: a defect in the engine, never an answer."""
+
+
+class GeneratorHypothesisError(ValueError):
+    """The generator construction does not apply: a is not squarefree or misses a prime of n."""
 
 
 def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
@@ -406,6 +406,10 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     valuation zero.  The defining root alpha itself is never a generator: its
     index is divisible by each prime of a at least (n-1)(u-1)/2 times, which
     this routine also verifies on x^n - a^u.
+
+    This is the one place that decides the hypotheses: a squarefree (a is
+    factored here, once) and every prime of n dividing a.  When one fails it
+    raises GeneratorHypothesisError; any other bad input is a plain ValueError.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -417,11 +421,9 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
         raise ValueError("|a| >= 2 required")
     a_fac = arith.factorize(a)
     if not a_fac.is_squarefree:
-        raise ValueError(f"a = {a} is not squarefree")
-    n_primes = set(arith.factorize(n).prime_divisors)
-    if not n_primes <= set(a_fac.prime_divisors):
-        missing = sorted(n_primes - set(a_fac.prime_divisors))
-        raise ValueError(f"every prime of n must divide a; missing {missing}")
+        raise GeneratorHypothesisError(f"a={a} not squarefree")
+    if any(a % p for p in arith.factorize(n).prime_divisors):
+        raise GeneratorHypothesisError(f"a={a} misses a prime of n")
     t, s = arith.bezout_positive(u, n)
     G = IntPoly.binomial(n, a)
     alpha_bound = (n - 1) * (u - 1) // 2
@@ -454,8 +456,10 @@ _SPLIT_DEGREE_BUDGET = 64
 def analyze(n: int, m: int) -> MonogenityVerdict:
     """Full verdict pipeline for x^n - m.
 
-    Order: generator construction when m = a^u under its hypotheses (m is
-    factored only when it is a perfect power, and then only its root); then the
+    Order: generator construction when m = a^u passes the screen of
+    `detect_power_decomposition` (m itself is never factored; the root a is
+    factored once, by `construct_generator`, and a GeneratorHypothesisError
+    falls through to the next route, any other error surfaces); then the
     splitting-count criterion; then, for n up to _SPLIT_DEGREE_BUDGET = 64,
     direct splits with the common-index-divisor test at every prime of n*m
     below n.  Otherwise an honest Inconclusive: monogenity is claimed only
@@ -470,8 +474,10 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     notes: list[str] = []
     decomp = detect_power_decomposition(n, m)
     if decomp is not None:
-        a, u = decomp
-        return construct_generator(n, a, u)
+        try:
+            return construct_generator(n, *decomp)
+        except GeneratorHypothesisError:
+            pass
     notes.append("no squarefree power decomposition matches the generator construction")
     verdict = theorem_general_test(n, m)
     if verdict is not None:

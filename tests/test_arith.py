@@ -9,6 +9,45 @@ from hypothesis import strategies as st
 from monocert import arith
 
 
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(-5, 5000):
+            assert arith.is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to bases 2, 3, 5, 7
+            3825123056546413051,  # to bases 2 through 23
+            399165290221 * 798330580441,  # to bases 2 through 37: base 41 is needed
+            1287836182261 * 2575672364521,  # to bases 2 through 41; it is the proof bound, so seeded witnesses run
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        assert not arith.is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1, 2**127 - 1])
+    def test_large_primes(self, n):
+        assert arith.is_prime(n)
+
+    def test_seeded_witnesses_only_past_the_proof_bound(self, monkeypatch):
+        n = 2**127 - 1
+        rng = random.Random(n)
+        expected = [rng.randrange(2, n - 1) for _ in range(40)]
+        draws = []
+
+        class Recording(random.Random):
+            def randrange(self, *args):
+                value = super().randrange(*args)
+                draws.append(value)
+                return value
+
+        monkeypatch.setattr(arith.random, "Random", Recording)
+        assert arith.is_prime(2**61 - 1) and draws == []
+        assert arith.is_prime(n) and draws == expected
+
+
 class TestPadicValuation:
     def test_known_values(self):
         assert arith.padic_valuation(2, -16) == 4

@@ -188,6 +188,16 @@ class TestSearchCommand:
         assert code == 1
         assert out == golden.read_text()
 
+    @pytest.mark.parametrize("u", [5, 3])
+    def test_generator_search_matches_golden_csv(self, capsys, u):
+        # |a| <= 1 and, for u = 3, gcd(u, n) = 3 give error rows, so the exit code is 1
+        golden = pathlib.Path(__file__).parent / "data" / f"search_generator_n6_a-2-60_u{u}.csv"
+        code, out, _ = run_cli(
+            capsys, "search", "--mode", "generator", "--n", "6", "--a-range=-2:60", "--u", str(u), "--format", "csv"
+        )
+        assert code == 1
+        assert out == golden.read_text()
+
     def test_config_has_no_removed_knobs(self, capsys):
         for args in (["search", "--n-set", "4", "--m-range", "17:17"], ["analyze", "--n", "4", "--m", "17"]):
             doc = run_json(capsys, *args)

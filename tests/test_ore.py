@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monocert import fppoly, ore
+from monocert import arith, fppoly, ore
 from monocert.polygon import IntPoly, phi_expand, principal_polygon, residual_polynomial
 from oracles import derivative, resultant
 
@@ -152,28 +152,30 @@ class TestRegularity:
         assert not ore.ore_split(IntPoly.binomial(2, 12), 2).exact
 
 
+def _primes_of_degree(split, d):
+    return sum(s.f == d for s in split.slots)
+
+
 class TestPrimesOfDegree:
     def test_quartic_counts(self):
         split = ore.ore_split(QUARTIC, 2)
-        assert ore.primes_of_degree(split, 1) == 3
-        assert ore.primes_of_degree(split, 2) == 0
+        assert _primes_of_degree(split, 1) == 3
+        assert _primes_of_degree(split, 2) == 0
 
     def test_cubic_counts(self):
         split = ore.ore_split(IntPoly.binomial(3, 2), 5)
-        assert ore.primes_of_degree(split, 2) == 1
-
-    def test_inexact_rejected(self):
-        split = ore.ore_split(IntPoly.binomial(2, 12), 2)
-        with pytest.raises(ValueError, match="regular"):
-            ore.primes_of_degree(split, 1)
-
-    def test_inexact_raises_not_p_regular(self):
-        split = ore.ore_split(IntPoly.binomial(2, 12), 2)
-        with pytest.raises(ore.NotPRegular):
-            ore.primes_of_degree(split, 1)
+        assert _primes_of_degree(split, 2) == 1
 
 
 class TestCommonIndexDivisor:
+    def test_inexact_rejected(self):
+        with pytest.raises(ValueError, match="regular"):
+            ore.common_index_divisor(IntPoly.binomial(2, 12), 2)
+
+    def test_inexact_raises_not_p_regular(self):
+        with pytest.raises(ore.NotPRegular):
+            ore.common_index_divisor(IntPoly.binomial(2, 12), 2)
+
     def test_quartic_witness(self):
         w = ore.common_index_divisor(QUARTIC, 2)
         assert w is not None
@@ -186,8 +188,6 @@ class TestCommonIndexDivisor:
         for n, m in [(3, 2), (4, 17), (5, 6), (6, 35)]:
             F = IntPoly.binomial(n, m)
             for p in (n + 1, n + 3):
-                from monocert import arith
-
                 if not arith.is_prime(p):
                     continue
                 try:
@@ -201,3 +201,21 @@ class TestCommonIndexDivisor:
         w = ore.common_index_divisor(QUARTIC, 2)
         assert w is not None
         assert ore.ore_split(QUARTIC, 2).index_valuation >= 1
+
+    def test_matches_degree_scan(self):
+        # the smallest d = 1..deg F whose prime count beats the irreducible count, as a plain scan
+        for n in range(2, 25):
+            for m in (-12, -7, 3, 5, 17, 45, 80, 82):
+                F = IntPoly.binomial(n, m)
+                for p in (2, 3, 5, 7):
+                    split = ore.ore_split(F, p)
+                    if not split.exact:
+                        continue
+                    expected = None
+                    for d in range(1, n + 1):
+                        ideals, bound = _primes_of_degree(split, d), arith.count_irreducibles(p, d)
+                        if ideals > bound:
+                            expected = (d, ideals, bound)
+                            break
+                    w = ore.common_index_divisor(F, p)
+                    assert (None if w is None else (w.d, w.ideal_count, w.irreducible_count)) == expected, (n, m, p)

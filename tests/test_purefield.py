@@ -198,7 +198,7 @@ class TestGeneralCriterion:
                 continue
             split = ore.ore_split(IntPoly.binomial(n, m), v.p)
             assert split.exact
-            assert ore.primes_of_degree(split, v.witness_d) >= v.ideal_count
+            assert sum(s.f == v.witness_d for s in split.slots) >= v.ideal_count
 
 
 class TestCorollaryChecks:
@@ -254,9 +254,9 @@ class TestConstructGenerator:
             purefield.construct_generator(6, 30, 1)
         with pytest.raises(ValueError, match="gcd"):
             purefield.construct_generator(6, 30, 3)
-        with pytest.raises(ValueError, match="squarefree"):
+        with pytest.raises(purefield.GeneratorHypothesisError, match="^a=12 not squarefree$"):
             purefield.construct_generator(6, 12, 5)
-        with pytest.raises(ValueError, match="prime of n"):
+        with pytest.raises(purefield.GeneratorHypothesisError, match="^a=5 misses a prime of n$"):
             purefield.construct_generator(6, 5, 5)
         for a in (-1, 0, 1):
             with pytest.raises(ValueError, match=r"\|a\| >= 2"):
@@ -334,15 +334,37 @@ class TestDetectPowerDecomposition:
         assert purefield.detect_power_decomposition(27, 81) == (3, 4)
         assert purefield.detect_power_decomposition(4, -8) == (-2, 3)
 
+    def test_root_is_not_factored(self):
+        # the screen passes a non-squarefree root on; construct_generator rejects it
+        assert purefield.detect_power_decomposition(5, 20**3) == (20, 3)
+        with pytest.raises(purefield.GeneratorHypothesisError, match="^a=20 not squarefree$"):
+            purefield.construct_generator(5, 20, 3)
+        v = purefield.analyze(5, 20**3)
+        assert v.notes[0] == "no squarefree power decomposition matches the generator construction"
+
     def test_not_found(self):
-        assert purefield.detect_power_decomposition(6, -64) is None  # -4 not squarefree
+        assert purefield.detect_power_decomposition(6, -64) is None  # 2^6: u = 6 is even and m < 0
         assert purefield.detect_power_decomposition(6, 30) is None  # u = 1 only
         assert purefield.detect_power_decomposition(10, 9) is None  # 3 misses the primes of 10
         assert purefield.detect_power_decomposition(9, 64) is None  # gcd(u, n) > 1 for u in {2, 3, 6}
 
 
 def _power_decomposition_oracle(n, m):
-    """The exponent-gcd rule: factor m, then try the divisors u of the gcd g of its exponents, largest first."""
+    """The screen by the exponent-gcd rule: factor m and take u = g, the gcd of its exponents."""
+    fac = arith.factorize(m)
+    g = 0
+    for _, e in fac.factors:
+        g = math.gcd(g, e)
+    if g < 2 or (m < 0 and g % 2 == 0) or math.gcd(g, n) != 1:
+        return None
+    b = math.prod(p ** (e // g) for p, e in fac.factors)
+    if any(b % p for p in arith.factorize(n).prime_divisors):
+        return None
+    return fac.sign * b, g
+
+
+def _generator_hypotheses_oracle(n, m):
+    """The full hypotheses: try the divisors u of the exponent gcd g, largest first, for a squarefree root."""
     fac = arith.factorize(m)
     n_primes = set(arith.factorize(n).prime_divisors)
     g = 0
@@ -364,30 +386,55 @@ def _power_decomposition_oracle(n, m):
     return None
 
 
+_POWER_INPUTS = dict(
+    a=st.integers(min_value=2, max_value=60),
+    u=st.integers(min_value=1, max_value=8),
+    c=st.one_of(st.just(1), st.integers(min_value=1, max_value=30)),
+    sign=st.sampled_from((1, -1)),
+    n=st.integers(min_value=3, max_value=40),
+)
+
+
+def _power_examples(test):
+    for kwargs in (
+        dict(a=6, u=2, c=1, sign=-1, n=5),  # negative m with even u
+        dict(a=12, u=5, c=1, sign=1, n=6),  # non-squarefree root
+        dict(a=10, u=3, c=1, sign=-1, n=15),  # root misses the prime 3 of n
+        dict(a=30, u=3, c=1, sign=1, n=6),  # gcd(u, n) = 3
+        dict(a=30, u=5, c=1, sign=-1, n=6),  # every hypothesis holds
+        dict(a=2, u=4, c=2, sign=1, n=3),  # 2^4 * 2 = 2^5
+        dict(a=2, u=60, c=1, sign=1, n=7),  # composite g: 2^60
+        dict(a=3, u=36, c=1, sign=1, n=5),  # 3^36
+        dict(a=5, u=15, c=1, sign=-1, n=4),  # (-5)^15
+        dict(a=42, u=12, c=1, sign=1, n=7),  # (6*7)^12, found with u = 12
+        dict(a=20, u=3, c=1, sign=1, n=5),  # screen passes, root 20 not squarefree
+    ):
+        test = example(**kwargs)(test)
+    return test
+
+
 class TestDetectPowerDecompositionOracle:
-    @given(
-        a=st.integers(min_value=2, max_value=60),
-        u=st.integers(min_value=1, max_value=8),
-        c=st.one_of(st.just(1), st.integers(min_value=1, max_value=30)),
-        sign=st.sampled_from((1, -1)),
-        n=st.integers(min_value=3, max_value=40),
-    )
-    @example(a=6, u=2, c=1, sign=-1, n=5)  # negative m with even u
-    @example(a=12, u=5, c=1, sign=1, n=6)  # non-squarefree root
-    @example(a=10, u=3, c=1, sign=-1, n=15)  # root misses the prime 3 of n
-    @example(a=30, u=3, c=1, sign=1, n=6)  # gcd(u, n) = 3
-    @example(a=30, u=5, c=1, sign=-1, n=6)  # every hypothesis holds
-    @example(a=2, u=4, c=2, sign=1, n=3)  # 2^4 * 2 = 2^5
-    @example(a=2, u=60, c=1, sign=1, n=7)  # composite g: 2^60
-    @example(a=3, u=36, c=1, sign=1, n=5)  # 3^36
-    @example(a=5, u=15, c=1, sign=-1, n=4)  # (-5)^15
-    @example(a=42, u=12, c=1, sign=1, n=7)  # (6*7)^12, found with u = 12
+    @given(**_POWER_INPUTS)
+    @_power_examples
     def test_matches_exponent_gcd_rule(self, a, u, c, sign, n):
         m = sign * a**u * c
         got = purefield.detect_power_decomposition(n, m)
         assert got == _power_decomposition_oracle(n, m)
         if got is not None:
             assert got[0] ** got[1] == m
+
+    @settings(deadline=None)
+    @given(**_POWER_INPUTS)
+    @_power_examples
+    def test_analyze_certifies_exactly_under_the_hypotheses(self, a, u, c, sign, n):
+        m = sign * a**u * c
+        expected = _generator_hypotheses_oracle(n, m)
+        if not purefield.binomial_irreducible(n, m):
+            assert expected is None
+            return
+        v = purefield.analyze(n, m)
+        got = (v.generator_base, v.generator_exponent) if v.status == "monogenic" else None
+        assert got == expected
 
 
 class TestFactorOnlyWhatARouteNeeds:
@@ -419,6 +466,12 @@ class TestFactorOnlyWhatARouteNeeds:
                 "no common index divisor among primes [3]",
             ],
         }
+
+    def test_power_root_factored_once(self, factorized):
+        b = 15 * 2147483647
+        v = purefield.analyze(15, b**2)
+        assert v.status == "monogenic" and (v.generator_base, v.generator_exponent) == (b, 2)
+        assert factorized.count(b) == 1
 
     def test_31_bit_semiprime_never_factored(self, factorized):
         m = (2**31 - 1) * 2147483629
@@ -467,6 +520,15 @@ class TestAnalyze:
         monkeypatch.setattr(ore, "ore_split", broken)
         with pytest.raises(ValueError, match="injected fault"):
             purefield.analyze(4, 5)  # p = 2 does not divide m, so the direct route splits there
+
+    def test_generator_defects_propagate(self, monkeypatch):
+        # only GeneratorHypothesisError falls through to the other routes; any other error surfaces
+        def broken(n, a, u):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(purefield, "construct_generator", broken)
+        with pytest.raises(ValueError, match="injected fault"):
+            purefield.analyze(6, 30**5)
 
     def test_degree_budget(self):
         v = purefield.analyze(65, 2)
