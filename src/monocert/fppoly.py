@@ -46,13 +46,14 @@ sorted factor list is the same for every stream.
 
 Three pure functions sit behind bounded LRU caches of _CACHE_SIZE = 1024
 results each, keyed by their reduced input: `factor` and `is_irreducible` by
-the FpPoly, `fq_factor` by (base, residue tuple).  Inputs are validated before
-the lookup, so a malformed one raises as it would uncached; results are
-immutable, so a hit returns the stored object.  x^n - m mod p depends only on
-m mod p, so along a window of consecutive m the same inputs come back every p
-values of m.  In one pass over the benchmark's `campaign` schedule (seed 1:
-240 items, windows of 80 consecutive m for n = 12, 27, 30), 207 of the 219
-`factor` calls (12 distinct inputs), 586 of the 614 `is_irreducible` calls
+the FpPoly, `fq_factor` by (base, residue tuple).  `fq_factor` validates its
+input on a miss only: a hit is equal to an input that passed, and a
+malformed one is never stored, so it raises as it would uncached.  Results
+are immutable, so a hit returns the stored object.  x^n - m mod p depends
+only on m mod p, so along a window of consecutive m the same inputs come
+back every p values of m.  In one pass over the benchmark's `campaign`
+schedule (seed 1: 240 items, windows of 80 consecutive m for n = 12, 27,
+30), 207 of the 219 `factor` calls (12 distinct inputs), 586 of the 614 `is_irreducible` calls
 (28) and 1340 of the 1468 `fq_factor` calls (128) repeat an earlier input;
 half of those `fq_factor` calls come through `fq_is_separable`.  The caches
 live as long as the process, so `search` reuses results across its rows; a
@@ -85,10 +86,12 @@ def _check_modulus(p: int) -> None:
 def _cached(key):
     """An LRU cache of _CACHE_SIZE results in front of a pure function, looked up by key(*args, **kwargs).
 
-    key validates the arguments and returns them as a hashable positional
-    tuple, so a malformed input raises before any lookup.  The returned
-    function has the cache's `cache_info` and `cache_clear`, and the uncached
-    function as `__wrapped__`.
+    key returns the arguments as a positional tuple.  The function validates
+    them itself, so validation runs on a miss only: a hit is an input equal
+    to one that passed it when it was stored.  An unhashable input is never
+    stored; it goes to the function, whose validation rejects it.  The
+    returned function has the cache's `cache_info` and `cache_clear`, and the
+    uncached function as `__wrapped__`.
     """
 
     def decorate(fn):
@@ -96,7 +99,11 @@ def _cached(key):
 
         @functools.wraps(fn)
         def lookup(*args, **kwargs):
-            return cached(*key(*args, **kwargs))
+            args = key(*args, **kwargs)
+            try:
+                return cached(*args)
+            except TypeError:  # unhashable args; a TypeError of fn's own recurs in the second call
+                return fn(*args)
 
         lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
         return lookup
@@ -477,15 +484,14 @@ def _fq_backend(base: FpPoly):
     return _ExtField(base)
 
 
-def _checked_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """coeffs as a tuple, after validating base and every residue."""
+def _check_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> None:
+    """Raise ValueError unless base is monic of degree >= 1 and every coefficient is a reduced residue."""
     if not base.is_monic or base.degree < 1:
         raise ValueError("base must be monic of degree >= 1")
     p, d = base.p, base.degree
     for c in coeffs:
         if not isinstance(c, tuple) or len(c) > d or (c and not (c[-1] and min(c) >= 0 and max(c) < p)):
             raise ValueError(f"coefficient {c!r} is not a reduced residue modulo {base}")
-    return tuple(coeffs)
 
 
 def _trim(K, f):
@@ -755,12 +761,12 @@ def fq_is_separable(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> bool:
     its own message for the zero polynomial.
     """
     if not any(coeffs):
-        _checked_residues(base, coeffs)  # a malformed input raises as it does in fq_factor
+        _check_residues(base, coeffs)  # a malformed input raises as it does in fq_factor
         raise ValueError("separability of zero undefined")
     return all(mult == 1 for _, mult in fq_factor(base, coeffs))
 
 
-@_cached(lambda base, coeffs: (base, _checked_residues(base, coeffs)))
+@_cached(lambda base, coeffs: (base, tuple(coeffs)))
 def fq_factor(
     base: FpPoly, coeffs: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
@@ -772,6 +778,7 @@ def fq_factor(
     coefficients' residues.  Raises ValueError unless base is monic of degree
     >= 1, every coefficient is such a residue and the polynomial is nonzero.
     """
+    _check_residues(base, coeffs)
     K = _fq_backend(base)
     f = _trim(K, [K.from_residue(c) for c in coeffs])
     if not f:

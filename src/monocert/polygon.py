@@ -25,13 +25,17 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trimmed([int(c) for c in coeffs])))
 
     def __setattr__(self, *a):
         raise AttributeError("IntPoly is immutable")
+
+    @classmethod
+    def _wrap(cls, coeffs: Sequence[int]) -> "IntPoly":
+        """An IntPoly over int coefficients the engine already holds trimmed (nonzero top, or none)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -55,7 +59,7 @@ class IntPoly:
     @classmethod
     def lift(cls, f: FpPoly) -> "IntPoly":
         """Integer lift with coefficients in [0, p)."""
-        return cls(f.coeffs)
+        return cls._wrap(f.coeffs)
 
     @property
     def degree(self) -> int:
@@ -83,10 +87,13 @@ class IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_int_pmul(self.coeffs, other.coeffs))
+        # the top product is a product of two nonzero tops, so nothing to trim
+        return IntPoly._wrap(_int_pmul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "IntPoly":
-        return IntPoly([c * a for a in self.coeffs])
+        if not c:
+            return IntPoly.zero()
+        return IntPoly._wrap([c * a for a in self.coeffs])
 
     def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Euclidean division; exact over Z, so the divisor must be monic."""
@@ -103,7 +110,7 @@ class IntPoly:
     def exact_div_scalar(self, k: int) -> "IntPoly":
         if any(c % k for c in self.coeffs):
             raise ValueError(f"coefficients not divisible by {k}")
-        return IntPoly([c // k for c in self.coeffs])
+        return IntPoly._wrap([c // k for c in self.coeffs])
 
     def evaluate(self, a: int) -> int:
         acc = 0
@@ -138,6 +145,13 @@ class IntPoly:
 def _content_valuation(a: IntPoly, p: int) -> int:
     """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked."""
     return min(arith._valuation(p, c) for c in a.coeffs if c)
+
+
+def _trimmed(cs: list[int]) -> list[int]:
+    """cs without its zero top coefficients, trimmed in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
@@ -206,12 +220,12 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 term = term * c * j // (k - j + 1)
                 if not term:
                     break
-        return PhiExpansion(phi, tuple(IntPoly(a) for a in acc))
+        return PhiExpansion(phi, tuple(IntPoly._wrap(_trimmed(a)) for a in acc))
     parts = []
     rest = list(F.coeffs)
     while len(parts) < count:
         _divide_in_place(rest, phi.coeffs)
-        parts.append(IntPoly(rest[:d]))
+        parts.append(IntPoly._wrap(_trimmed(rest[:d])))
         del rest[:d]
     return PhiExpansion(phi, tuple(parts))
 
@@ -404,8 +418,9 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
         if v > target:
             coeffs.append(())
         else:
-            unit = part.exact_div_scalar(p**v)
-            coeffs.append((unit.reduce_mod(p) % phi_bar).coeffs)
+            # v is the content valuation of part, so every division is exact
+            pv = p**v
+            coeffs.append((FpPoly(p, [c // pv for c in part.coeffs]) % phi_bar).coeffs)
     if not coeffs[0] or not coeffs[-1]:
         raise ValueError("side endpoints must lie on the polygon")
     return ResidualPolynomial(phi_bar, side, tuple(coeffs))

@@ -159,8 +159,10 @@ class MonogenityVerdict:
 class ClosedFormData:
     """Closed-form polygon data for x^n - m at an odd p | n coprime to u*m.
 
-    Of the correction polynomial H only its remainder R mod phi is built;
-    A0 = p^(r+1) R + m^q - m is the constant part of the development.
+    n = u * q with q = p^r, and x^u - m = phi*U + p*T.  The correction
+    polynomial H is defined by (m + pT)^q = m^q + p^(r+1) H; only its
+    remainder R mod phi is built.  A0 = p^(r+1) R + m^q - m is the constant
+    part of the development of x^n - m.
     """
 
     p: int
@@ -207,11 +209,14 @@ def _cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[IntPoly, IntPo
 def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     """Closed-form principal polygon data for x^n - m with respect to p and phi.
 
-    Writes n = u * p^r, splits x^u - m as phi*U + p*T, forms the remainder R
-    of the correction polynomial H (the binomial sum of (pT)) mod phi by a
-    Horner loop on polynomials of degree below 2 deg(phi), and reads the
-    polygon off the points (0, nu0) and (p^j, r - j) without developing
-    x^n - m itself; H is never built.
+    Writes n = u * q with q = p^r, splits x^u - m as phi*U + p*T, and reads
+    the polygon off the points (0, nu0) and (p^j, r - j) without developing
+    x^n - m itself.  As x^u = m + pT + phi*U, the constant part of the
+    development is A0 = S - m for S = (m + pT)^q mod phi.  Every term of the
+    binomial expansion of (m + pT)^q but m^q is divisible by
+    C(q, q-1) * p = p^(r+1), so R = (S - m^q) / p^(r+1) exactly.  S is
+    formed by square-and-multiply, about 2 log2(q) products mod phi of
+    polynomials of degree below deg(phi); H is never built.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -232,18 +237,15 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     if (T.reduce_mod(p) % phi_bar).is_zero:
         raise ValueError("phi divides the cofactor T mod p; use closed_form_lift")
     q = p**r
-    # R = H mod phi for H = m^(q-1) * T + (1/p^(r+1)) * sum_{j=0}^{q-2} C(q, j) m^j (pT)^(q-j),
-    # the sum accumulated by Horner in powers of pT and kept mod phi at every step: reducing
-    # mod the monic phi is Z-linear, so it commutes with the exact division by p^(r+1)
-    pT = T.scale(p) % phi
-    acc = IntPoly.zero()
-    for k in range(q, 1, -1):
-        acc = acc + IntPoly.const(math.comb(q, q - k) * m ** (q - k))
-        if k > 2:
-            acc = acc * pT % phi
-    acc = acc * pT % phi * pT % phi
-    R = (T.scale(m ** (q - 1)) % phi) + acc.exact_div_scalar(p ** (r + 1))
-    A0 = R.scale(p ** (r + 1)) + IntPoly.const(m**q - m)
+    # reducing mod the monic phi is a ring map, so S is the remainder of (m + pT)^q itself
+    base = (T.scale(p) + IntPoly.const(m)) % phi
+    S = IntPoly.const(1)
+    for bit in bin(q)[2:]:
+        S = S * S % phi
+        if bit == "1":
+            S = S * base % phi
+    R = (S - IntPoly.const(m**q)).exact_div_scalar(p ** (r + 1))
+    A0 = S - IntPoly.const(m)
     if A0.is_zero:
         raise ValueError("degenerate constant part")
     nu0 = A0.padic_valuation(p)

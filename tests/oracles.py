@@ -3,10 +3,15 @@
 Resultants give the Dedekind screen of the splitting tests (p divides the
 discriminant whenever p ramifies), decoding checks phi-adic developments, and
 the closed-form discriminant of x^n - a is cross-checked against the
-resultant route.
+resultant route.  The closed-form polygon is checked against its binomial
+sum taken term by term, residual coefficients against a division that goes
+through IntPoly, and every IntPoly the engine builds unchecked against the
+public constructor.
 """
 
-from monocert.polygon import IntPoly, PhiExpansion
+import math
+
+from monocert.polygon import IntPoly, PhiExpansion, Side
 
 
 def derivative(f: IntPoly) -> IntPoly:
@@ -79,3 +84,45 @@ def decode(exp: PhiExpansion) -> IntPoly:
         out = out + part * power
         power = power * exp.base
     return out
+
+
+def is_canonical(a: IntPoly) -> bool:
+    """a is what the public constructor builds from its coefficients: ints, trimmed."""
+    return a == IntPoly(list(a.coeffs)) and all(type(c) is int for c in a.coeffs)
+
+
+def closed_form_horner(m: int, p: int, r: int, phi: IntPoly, T: IntPoly) -> tuple[IntPoly, IntPoly, int, tuple]:
+    """R, A0, nu0 and points of the closed-form polygon by the binomial sum, in q = p^r Horner steps.
+
+    R = H mod phi for H = m^(q-1) T + p^-(r+1) sum_{j=0}^{q-2} C(q, j) m^j (pT)^(q-j), the sum
+    accumulated by Horner in powers of pT and reduced mod phi at every step; reducing mod the
+    monic phi is Z-linear, so it commutes with the exact division by p^(r+1).
+    """
+    q = p**r
+    pT = T.scale(p) % phi
+    acc = IntPoly.zero()
+    for k in range(q, 1, -1):
+        acc = acc + IntPoly.const(math.comb(q, q - k) * m ** (q - k))
+        if k > 2:
+            acc = acc * pT % phi
+    acc = acc * pT % phi * pT % phi
+    R = (T.scale(m ** (q - 1)) % phi) + acc.exact_div_scalar(p ** (r + 1))
+    A0 = R.scale(p ** (r + 1)) + IntPoly.const(m**q - m)
+    nu0 = A0.padic_valuation(p)
+    return R, A0, nu0, ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))
+
+
+def residual_coefficients(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[int, ...], ...]:
+    """Residual coefficients of a side: part / p^target through IntPoly, reduced mod (p, phi), () above the side."""
+    phi_bar = exp.base.reduce_mod(p)
+    (s, ys) = side.start
+    step = side.height // side.side_degree
+    out = []
+    for j in range(side.side_degree + 1):
+        part, target = exp.parts[s + j * side.ram_index], ys - j * step
+        if part.is_zero or part.padic_valuation(p) > target:
+            out.append(())
+        else:
+            unit = part.exact_div_scalar(p**target)
+            out.append((unit.reduce_mod(p) % phi_bar).coeffs)
+    return tuple(out)

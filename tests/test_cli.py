@@ -108,6 +108,13 @@ class TestPolygonCommand:
         assert entry["index"] == 3
         assert "*" in entry["render"]
 
+    def test_largest_development_matches_golden(self, capsys):
+        # x^750 - 44 at 5: a development of the largest degree the closed-form benchmark draws
+        golden = pathlib.Path(__file__).parent / "data" / "polygon_n750_m44_p5.json"
+        doc = run_json(capsys, "polygon", "--n", "750", "--m", "44", "--p", "5", "--render", "none")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+
     def test_svg_is_valid_xml(self, capsys):
         doc = run_json(capsys, "polygon", "--n", "3", "--m", "2", "--p", "2", "--render", "svg")
         svg = doc["polygons"][0]["render"]

@@ -479,6 +479,20 @@ class TestCaches:
         equal_base = FpPoly(base.p, list(base.coeffs))
         self._check(fppoly.fq_factor, (base, tuple(coeffs)), (equal_base, list(coeffs)))
 
+    def test_hit_skips_validation(self, monkeypatch):
+        base, coeffs = P(3, 1, 0, 1), ((1,), (0, 1), (1,))
+        fppoly.fq_factor.cache_clear()
+        first = fppoly.fq_factor(base, coeffs)
+
+        def fail(*args):
+            raise AssertionError("a stored input validated again")
+
+        monkeypatch.setattr(fppoly, "_check_residues", fail)
+        assert fppoly.fq_factor(base, list(coeffs)) is first
+        assert fppoly.fq_is_separable(base, coeffs)
+        with pytest.raises(AssertionError):
+            fppoly.fq_factor(base, ((1,), (1,)))  # a miss validates
+
     def test_keyword_and_positional_share_an_entry(self):
         f = P(5, 1, 0, 0, 1)
         fppoly.factor.cache_clear()

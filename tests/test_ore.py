@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monocert import arith, fppoly, ore
+from monocert import arith, fppoly, ore, purefield
 from monocert.polygon import IntPoly, phi_expand, principal_polygon, residual_polynomial
 from oracles import derivative, resultant
 
@@ -165,6 +166,27 @@ class TestPrimesOfDegree:
     def test_cubic_counts(self):
         split = ore.ore_split(IntPoly.binomial(3, 2), 5)
         assert _primes_of_degree(split, 2) == 1
+
+    def test_odd_p_coprime_to_m_grid(self):
+        # at an odd p | n with p not dividing m (n = u p^r) the split of x^n - m is exact, and each
+        # degree-d factor of x^u - m mod p carries nu_stable(p, m, r + 1) primes of residue degree d
+        checked = 0
+        for n in range(3, 31):
+            for p in arith.factorize(n).prime_divisors:
+                if p == 2 or p == n:
+                    continue
+                r = arith._valuation(p, n)
+                u = n // p**r
+                for m in range(-60, 121):
+                    if m % p == 0 or abs(m) < 2 or not purefield.binomial_irreducible(n, m):
+                        continue
+                    split = ore.ore_split(IntPoly.binomial(n, m), p)
+                    assert split.exact, (n, m, p)
+                    nu = arith.nu_stable(p, m, r + 1)
+                    want = Counter({d: nu * fppoly.count_degree_d_factors(p, d, u, m) for d in range(1, u + 1)})
+                    assert Counter(s.f for s in split.slots) == want, (n, m, p)
+                    checked += 1
+        assert checked > 2000
 
 
 class TestCommonIndexDivisor:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from monocert import fppoly
+from monocert import arith, fppoly, purefield
 from monocert.polygon import (
     IntPoly,
     PhiExpansion,
@@ -17,7 +17,7 @@ from monocert.polygon import (
     principal_polygon,
     residual_polynomial,
 )
-from oracles import decode, discriminant, resultant
+from oracles import decode, discriminant, is_canonical, residual_coefficients, resultant
 
 QUARTIC = IntPoly.binomial(4, 17)
 PHI1 = IntPoly([-1, 1])
@@ -139,6 +139,7 @@ class TestPhiExpandOracle:
     def test_matches_repeated_division(self, F, phi):
         exp = phi_expand(F, phi)
         assert exp.parts == _naive_phi_expand(F, phi)
+        assert all(is_canonical(a) for a in exp.parts)
         assert len(exp.parts) == F.degree // phi.degree + 1
         assert decode(exp) == F
 
@@ -152,6 +153,7 @@ class TestPhiExpandOracle:
         count = data.draw(st.integers(1, len(full) + 2), label="count")
         exp = phi_expand(F, phi, count=count)
         assert exp.parts == full[:count]
+        assert all(is_canonical(a) for a in exp.parts)
         # F = sum parts[j] phi^j mod phi^len(parts)
         power = IntPoly.const(1)
         for _ in exp.parts:
@@ -163,6 +165,47 @@ class TestPhiExpandOracle:
     def test_count_below_one_rejected(self, phi, count):
         with pytest.raises(ValueError, match="count"):
             phi_expand(QUARTIC, phi, count=count)
+
+
+class TestTrustedConstructor:
+    """Every IntPoly built without the public constructor's checks is one it would build."""
+
+    @pytest.mark.parametrize(
+        "F,phi,want",
+        [
+            # the binomial branch, with zero parts and with trailing zeros trimmed from its rows
+            (IntPoly.binomial(6, 5), IntPoly.binomial(2, 0), [[-5], [], [], [1]]),
+            (IntPoly([1, 0, 0, 0, 1]), IntPoly.binomial(2, 2), [[5], [4], [1]]),
+            (QUARTIC, PHI1, [[-16], [4], [6], [4], [1]]),
+            # the division branch, with a zero middle part and a zero part 0
+            (IntPoly([1, 1, 1]) * IntPoly([1, 1, 1]) + IntPoly.const(1), IntPoly([1, 1, 1]), [[1], [], [1]]),
+            (IntPoly([1, 1, 1]) * IntPoly([1, 1, 1]) * IntPoly([6, 1, 1]), IntPoly([1, 1, 1]), [[], [], [5], [1]]),
+        ],
+    )
+    @pytest.mark.parametrize("count", [None, 1, 2, 3, 9])
+    def test_phi_expand_parts(self, F, phi, want, count):
+        parts = phi_expand(F, phi, count=count).parts
+        assert [list(a.coeffs) for a in parts] == want[:count]
+        assert all(is_canonical(a) for a in parts)
+
+    @given(p=st.sampled_from([2, 3, 7, 2**31 - 1]), cs=st.lists(st.integers(-(2**40), 2**40), max_size=6))
+    def test_lift(self, p, cs):
+        f = fppoly.FpPoly(p, cs)
+        assert is_canonical(IntPoly.lift(f))
+        assert IntPoly.lift(f) == IntPoly(f.coeffs)
+
+    @given(
+        a=st.lists(st.integers(-50, 50), max_size=6).map(IntPoly),
+        b=st.lists(st.integers(-50, 50), max_size=6).map(IntPoly),
+        c=st.integers(-9, 9),
+    )
+    def test_products_and_scalars(self, a, b, c):
+        assert is_canonical(a * b)
+        assert is_canonical(a.scale(c))
+        assert a.scale(c) == IntPoly([c * x for x in a.coeffs])
+        if c:
+            assert a.scale(c).exact_div_scalar(c) == a
+            assert is_canonical(a.scale(c).exact_div_scalar(c))
 
 
 class TestPrincipalPolygon:
@@ -322,6 +365,26 @@ class TestResidualPolynomial:
         # the sides that end within the prefix read the same parts
         for side in principal_polygon(full, 2).sides[:2]:
             assert residual_polynomial(prefix, side, 2) == residual_polynomial(full, side, 2)
+
+    def test_campaign_schedules_match_intpoly_route(self):
+        # the (n, m) windows of the benchmark's campaign schedules, seeds 0 and 1, at every prime of n*m
+        checked = 0
+        for seed in (0, 1):
+            rng = random.Random(f"campaign:{seed}")
+            for n in (12, 27, 30):
+                start = rng.randrange(2, 10_000 - 80)
+                for m in range(start, start + 80):
+                    if not purefield.binomial_irreducible(n, m):
+                        continue
+                    F = IntPoly.binomial(n, m)
+                    for p in sorted(set(arith.factorize(n).prime_divisors) | set(arith.factorize(m).prime_divisors)):
+                        for phi_bar, mult in fppoly.factor(F.reduce_mod(p)).factors:
+                            exp = phi_expand(F, IntPoly.lift(phi_bar), count=mult + 1)
+                            for side in principal_polygon(exp, p).sides:
+                                res = residual_polynomial(exp, side, p)
+                                assert res.coeffs == residual_coefficients(exp, side, p), (n, m, p, phi_bar, side)
+                                checked += 1
+        assert checked > 3000
 
 
 class TestLowerHull:

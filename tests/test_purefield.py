@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
 from monocert.polygon import IntPoly, phi_expand, principal_polygon
-from oracles import binomial_discriminant, discriminant
+from oracles import binomial_discriminant, closed_form_horner, discriminant, is_canonical
 
 
 class TestBinomialIrreducible:
@@ -102,6 +102,21 @@ class TestClosedFormPolygon:
             V, R = divmod(H, phi)
             assert H == V * phi + R
             assert R == data.R, (n, m, p, phi)
+
+    def test_r3_matches_horner_oracle(self):
+        # q = 27, 125 and 343, where building H in full (above) is out of reach; m of both signs,
+        # phi of degree 1 to 4 (x^5 - m mod 3 has a quartic factor, x^3 - 3 mod 7 is irreducible)
+        instances = []
+        for p, u, m in [(3, 1, 5), (3, 5, -7), (3, 13, 2), (5, 2, 2), (5, 4, 3), (5, 2, -3), (7, 1, -10), (7, 3, 3)]:
+            for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
+                instances.append((u * p**3, m, p, purefield.closed_form_lift(u, m, p, phi_bar)))
+        assert {phi.degree for *_, phi in instances} == {1, 2, 3, 4}
+        for n, m, p, phi in instances:
+            data = purefield.closed_form_polygon(n, m, p, phi)
+            assert data.r == 3
+            assert IntPoly.binomial(data.u, m) == data.phi * data.U + data.T.scale(p)
+            assert closed_form_horner(m, p, 3, phi, data.T) == (data.R, data.A0, data.nu0, data.points), (n, m, p, phi)
+            assert all(is_canonical(a) for a in (data.phi, data.U, data.T, data.R, data.A0))
 
     def test_bad_lift_rejected_and_bump_works(self):
         phi_bar = fppoly.FpPoly(3, [2, 1])  # x + 2, the [0, p) lift for m = 7
