@@ -249,19 +249,11 @@ def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None} | {"command": args.command}
 
 
-def _verdict_row(n: int, m: int, verdict: purefield.MonogenityVerdict) -> dict:
-    row = {"n": n, "m": m, "status": verdict.status, "provenance": verdict.provenance}
-    if verdict.status == "not_monogenic":
-        row.update(
-            {
-                "p": verdict.p,
-                "witness_d": verdict.witness_d,
-                "ideal_count": verdict.ideal_count,
-                "irreducible_count": verdict.irreducible_count,
-            }
-        )
-    elif verdict.status == "monogenic":
-        row.update({"t": verdict.t, "s": verdict.s, "generator": str(verdict.generator_poly)})
+def _verdict_row(verdict: purefield.MonogenityVerdict) -> dict:
+    d = verdict.to_json_dict()
+    row = {k: d[k] for k in _SEARCH_COLUMNS if k in d}
+    if verdict.status == "monogenic":
+        row["generator"] = str(verdict.generator_poly)
     return row
 
 
@@ -272,7 +264,7 @@ def _verdict_row(n: int, m: int, verdict: purefield.MonogenityVerdict) -> dict:
 def _cmd_analyze(args) -> int:
     started = time.perf_counter()
     verdict = purefield.analyze(args.n, args.m)
-    payload = {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(args.n, args.m, verdict)]}
+    payload = {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(verdict)]}
     config = _config_echo(args, ("n", "m", "format"))
     _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
     return 0
@@ -335,7 +327,7 @@ def _analyze_task(task) -> dict:
     n, m = task
     try:
         verdict = purefield.analyze(n, m)
-        return _verdict_row(n, m, verdict)
+        return _verdict_row(verdict)
     except Exception as exc:  # noqa: BLE001 - per-instance errors are data
         return {"n": n, "m": m, "status": "error", "error": str(exc)}
 
@@ -343,7 +335,7 @@ def _analyze_task(task) -> dict:
 def _generator_task(task) -> dict:
     n, a, u = task
     try:
-        return _verdict_row(n, a**u, purefield.construct_generator(n, a, u))
+        return _verdict_row(purefield.construct_generator(n, a, u))
     except purefield.GeneratorHypothesisError as exc:
         return {"n": n, "m": a**u, "status": "skipped", "error": str(exc)}
     except Exception as exc:  # noqa: BLE001

@@ -746,10 +746,9 @@ def count_degree_d_factors(p: int, d: int, u: int, m: int) -> int:
         g = math.gcd(u, group)
         return g if pow(mbar, group // g, p) == 1 else 0
 
-    exact: dict[int, int] = {}
-    for e in sorted(k for k in range(1, d + 1) if d % k == 0):
-        exact[e] = roots_in(e) - sum(exact[k] for k in exact if e % k == 0 and k < e)
-    count, rem = divmod(exact[d], d)
+    # Mobius inversion: d times the count is the number of roots of exact degree d
+    exact = sum(arith._mobius(d // e) * roots_in(e) for e in range(1, d + 1) if d % e == 0)
+    count, rem = divmod(exact, d)
     assert rem == 0
     return count
 

@@ -76,15 +76,10 @@ class IntPoly:
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
-        return IntPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+        return IntPoly._wrap(_trimmed([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
+        return self + other.scale(-1)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         # the top product is a product of two nonzero tops, so nothing to trim
@@ -102,7 +97,7 @@ class IntPoly:
         top = other.degree
         rest = list(self.coeffs)
         _divide_in_place(rest, other.coeffs)
-        return IntPoly(rest[top:]), IntPoly(rest[:top])
+        return IntPoly._wrap(_trimmed(rest[top:])), IntPoly._wrap(_trimmed(rest[:top]))
 
     def __mod__(self, other: "IntPoly") -> "IntPoly":
         return divmod(self, other)[1]

@@ -53,11 +53,15 @@ def _is_kth_power(m: int, k: int) -> bool:
 
 
 def binomial_irreducible(n: int, m: int) -> bool:
-    """Irreducibility of x^n - m over Q (no q-th power for q | n, no -4k^4 when 4 | n)."""
+    """Irreducibility of x^n - m over Q (no q-th power for q | n, no -4k^4 when 4 | n).
+
+    n is never factored: |m| >= 2 is no q-th power once 2^q > |m|, so only the
+    primes q <= bit_length(|m|) that divide n are tried.
+    """
     if n < 2 or abs(m) < 2:
         raise ValueError("need n >= 2 and |m| >= 2")
-    for q in arith.factorize(n).prime_divisors:
-        if _is_kth_power(m, q):
+    for q in range(2, min(n, abs(m).bit_length()) + 1):
+        if n % q == 0 and arith.is_prime(q) and _is_kth_power(m, q):
             return False
     if n % 4 == 0 and m < 0 and (-m) % 4 == 0 and _is_kth_power((-m) // 4, 4):
         return False
@@ -264,7 +268,7 @@ def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     that is never a monogenity claim.
 
     Runs entirely on integer arithmetic: no polynomial of degree n is built,
-    so n may be huge.
+    so n may be huge.  This loop is the one place `analyze` factors n.
     """
     if not binomial_irreducible(n, m):
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
@@ -354,7 +358,8 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
 
     Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b.  The
     screen keeps a = +-b when the sign allows it, gcd(u, n) = 1 and every prime
-    of n divides b; it never factors, so whether b is squarefree is left to
+    of n divides b, that is n | b^e with e = bit_length(n) >= every exponent
+    of n.  It never factors, so whether b is squarefree is left to
     `construct_generator`, which factors b once.  g is found by taking exact
     q-th roots for primes q alone, as long as they exist: the exponents k with
     |m| a k-th power are the divisors of g, so g is the product of the q taken.
@@ -372,7 +377,7 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
         return None
     if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
         return None
-    if any(b % p for p in arith.factorize(n).prime_divisors):
+    if pow(b, n.bit_length(), n):
         return None
     return (-b if m < 0 else b), u
 
@@ -410,8 +415,10 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     this routine also verifies on x^n - a^u.
 
     This is the one place that decides the hypotheses: a squarefree (a is
-    factored here, once) and every prime of n dividing a.  When one fails it
-    raises GeneratorHypothesisError; any other bad input is a plain ValueError.
+    factored here, once) and every prime of n dividing a, tested as n | a^e
+    with e = bit_length(n) >= every exponent of n, so n is never factored.
+    When one fails it raises GeneratorHypothesisError; any other bad input is
+    a plain ValueError.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -424,7 +431,7 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     a_fac = arith.factorize(a)
     if not a_fac.is_squarefree:
         raise GeneratorHypothesisError(f"a={a} not squarefree")
-    if any(a % p for p in arith.factorize(n).prime_divisors):
+    if pow(a, n.bit_length(), n):
         raise GeneratorHypothesisError(f"a={a} misses a prime of n")
     t, s = arith.bezout_positive(u, n)
     G = IntPoly.binomial(n, a)

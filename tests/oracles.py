@@ -5,12 +5,14 @@ discriminant whenever p ramifies), decoding checks phi-adic developments, and
 the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
-through IntPoly, and every IntPoly the engine builds unchecked against the
-public constructor.
+through IntPoly, every IntPoly the engine builds unchecked against the
+public constructor, and the irreducibility test of x^n - m against the rule
+that factors n.
 """
 
 import math
 
+from monocert import arith, purefield
 from monocert.polygon import IntPoly, PhiExpansion, Side
 
 
@@ -126,3 +128,15 @@ def residual_coefficients(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[
             unit = part.exact_div_scalar(p**target)
             out.append((unit.reduce_mod(p) % phi_bar).coeffs)
     return tuple(out)
+
+
+def binomial_irreducible_by_factoring(n: int, m: int) -> bool:
+    """Irreducibility of x^n - m by the rule read off the primes of n: no q-th power for q | n, no -4k^4 when 4 | n."""
+    if n < 2 or abs(m) < 2:
+        raise ValueError("need n >= 2 and |m| >= 2")
+    for q in arith.factorize(n).prime_divisors:
+        if purefield._is_kth_power(m, q):
+            return False
+    if n % 4 == 0 and m < 0 and (-m) % 4 == 0 and purefield._is_kth_power((-m) // 4, 4):
+        return False
+    return True

@@ -251,6 +251,45 @@ class TestOutputPlumbing:
         assert code == 0
         assert "verdict.status: not_monogenic" in out
 
+    @pytest.mark.parametrize(
+        "n,m,rows",
+        [
+            (
+                4,
+                17,
+                [
+                    "n: 4",
+                    "m: 17",
+                    "status: not_monogenic",
+                    "provenance: common-index-divisor:p=2",
+                    "p: 2",
+                    "witness_d: 1",
+                    "ideal_count: 3",
+                    "irreducible_count: 2",
+                ],
+            ),
+            (
+                6,
+                30**5,
+                [
+                    "n: 6",
+                    "m: 24300000",
+                    "status: monogenic",
+                    "provenance: generator-construction",
+                    "t: 5",
+                    "s: 4",
+                    "generator: x^6 - 30",
+                ],
+            ),
+            (3, 2, ["n: 3", "m: 2", "status: inconclusive", "provenance: none"]),
+        ],
+    )
+    def test_text_row_field_order(self, capsys, n, m, rows):
+        # text output prints the row dict in its own order, which CSV and JSON never show
+        code, out, _ = run_cli(capsys, "analyze", "--n", str(n), "--m", str(m), "--format", "text")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("rows.0.")] == ["rows.0." + r for r in rows]
+
     def test_determinism_repeated_runs(self, capsys):
         for args in (
             ["analyze", "--n", "27", "--m", "82"],

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
 from monocert.polygon import IntPoly, phi_expand, principal_polygon
-from oracles import binomial_discriminant, closed_form_horner, discriminant, is_canonical
+from oracles import (
+    binomial_discriminant,
+    binomial_irreducible_by_factoring,
+    closed_form_horner,
+    discriminant,
+    is_canonical,
+)
 
 
 class TestBinomialIrreducible:
@@ -38,6 +44,34 @@ class TestBinomialIrreducible:
             for k in range(1, 20):
                 r = purefield._iroot(x, k)
                 assert r**k <= x < (r + 1) ** k, (x, k)
+
+    @settings(max_examples=300)
+    @given(
+        n=st.one_of(st.integers(2, 64), st.integers(2, 10**6)),
+        root=st.integers(2, 40),
+        k=st.integers(1, 12),
+        c=st.one_of(st.just(1), st.integers(1, 9)),
+        sign=st.sampled_from((1, -1)),
+    )
+    @example(n=12, root=2, k=6, c=1, sign=1)  # |m| = 2^k with k | n
+    @example(n=7, root=2, k=7, c=1, sign=1)  # q = n itself, bit_length(m) = n + 1
+    @example(n=10, root=2, k=5, c=1, sign=-1)  # negative m, odd k: (-2)^5
+    @example(n=10, root=3, k=2, c=1, sign=-1)  # negative m, even k: -9 is no square
+    @example(n=4, root=3, k=4, c=4, sign=-1)  # -4 * 3^4 with 4 | n
+    @example(n=8, root=2, k=2, c=1, sign=-1)  # -4 * 1^4 with 8 | n
+    @example(n=12, root=2, k=4, c=1, sign=-1)  # -16 = -4 * 4 is no -4k^4
+    @example(n=3 * 4099, root=5, k=3, c=1, sign=1)  # a prime of n above 2^12, a cube
+    @example(n=2 * 4099, root=7, k=1, c=1, sign=-1)
+    def test_matches_factoring_oracle(self, n, root, k, c, sign):
+        m = sign * root**k * c
+        assert purefield.binomial_irreducible(n, m) == binomial_irreducible_by_factoring(n, m)
+
+    def test_large_prime_power_of_n(self):
+        # q = 4099 > 2^12 divides n and m is a 4099-th power, of either sign
+        for n in (4099, 6 * 4099):
+            for m in (2**4099, -(3**4099), 6**4099 * 5):
+                assert purefield.binomial_irreducible(n, m) == binomial_irreducible_by_factoring(n, m), (n, m)
+        assert not purefield.binomial_irreducible(6 * 4099, -(3**4099))
 
     def test_huge_prime_exponent_finishes(self):
         # a 4294967311-th root of 3 is 1; Newton would form a 4.3-Gbit power to find it
@@ -298,6 +332,32 @@ class TestConstructGenerator:
         assert purefield._pure_split(4, 18, 3) == (True, 2)
 
 
+class TestEveryPrimeOfNDividesA:
+    """n | a^e with e = bit_length(n) exactly when every prime of n divides a, as no exponent of n reaches e."""
+
+    def test_pow_identity_matches_factoring(self):
+        for n in range(2, 5000):
+            primes = arith.factorize(n).prime_divisors
+            rad = math.prod(primes)
+            for b in [*range(1, 31), rad, 2 * rad, rad * primes[-1], rad // primes[0], rad // primes[-1]]:
+                for a in (b, -b):
+                    assert (pow(a, n.bit_length(), n) == 0) == all(a % p == 0 for p in primes), (n, a)
+
+    def test_generator_hypothesis_matches_factoring(self):
+        # rad(n) * q (q a prime not dividing n) holds every prime of n; rad(n) / p misses p
+        for n in range(3, 5000, 7):
+            primes = arith.factorize(n).prime_divisors
+            rad = math.prod(primes)
+            q = next(q for q in (2, 3, 5, 7, 11, 13) if n % q)
+            u = next(u for u in range(2, 30) if math.gcd(u, n) == 1)
+            for sign in (1, -1):
+                assert purefield.construct_generator(n, sign * rad * q, u).status == "monogenic"
+                if len(primes) > 1:
+                    a = sign * rad // primes[0]
+                    with pytest.raises(purefield.GeneratorHypothesisError, match=f"^a={a} misses a prime of n$"):
+                        purefield.construct_generator(n, a, u)
+
+
 PRIMES_BELOW_64 = [p for p in range(2, 64) if arith.is_prime(p)]
 
 
@@ -487,6 +547,26 @@ class TestFactorOnlyWhatARouteNeeds:
         v = purefield.analyze(15, b**2)
         assert v.status == "monogenic" and (v.generator_base, v.generator_exponent) == (b, 2)
         assert factorized.count(b) == 1
+
+    def test_n_factored_at_most_once(self, factorized):
+        # every route of analyze: generator (a != n), criterion, direct splits, inconclusive
+        inputs = [(n, m) for n in (12, 27, 30) for m in range(2, 60)]
+        inputs += [(6, 30**5), (15, (15 * 2147483647) ** 2), (5, 20**3), (27, 82), (4, 17), (3, 2)]
+        inputs += [(9, (2**31 - 1) * 2147483629), (21, -(2**31 - 1) * 2147483629)]
+        for n, m in inputs:
+            if not purefield.binomial_irreducible(n, m):
+                continue
+            factorized.clear()
+            purefield.analyze(n, m)
+            assert factorized.count(n) <= 1, (n, m, factorized)
+
+    def test_hypotheses_of_a_huge_n_without_factoring_it(self, factorized):
+        N = (2**61 - 1) * (2**89 - 1)
+        assert purefield.binomial_irreducible(N, 3)
+        assert purefield.detect_power_decomposition(N, 6**5) is None
+        with pytest.raises(purefield.GeneratorHypothesisError, match="^a=2 misses a prime of n$"):
+            purefield.construct_generator(N, 2, 5)
+        assert factorized == [2]
 
     def test_31_bit_semiprime_never_factored(self, factorized):
         m = (2**31 - 1) * 2147483629
