@@ -85,14 +85,14 @@ def polygon_render_model(poly) -> dict:
     }
 
 
-def render_ascii(poly, width: int = 100) -> str:
+def render_ascii(poly) -> str:
     """Figure-style plot: axes with ticks, hull dots, side labels."""
     if poly.is_empty:
         return "(no negative-slope sides)"
     xmax = poly.vertices[-1][0]
     ymax = max(v[1] for v in poly.vertices)
     margin = 5
-    avail = width - margin - 2
+    avail = 100 - margin - 2
     scale = Fraction(avail, xmax) if xmax > avail else Fraction(min(3, max(1, avail // max(xmax, 1))))
 
     def col(x: Fraction | int) -> int:

@@ -1,13 +1,12 @@
 """Polynomial arithmetic and factorization over F_p and residue fields F_q = F_p[x]/(phi).
 
-Moduli are primes below 2**31.  All polynomial arithmetic is one engine on
+Moduli are primes of any size.  All polynomial arithmetic is one engine on
 coefficient lists (ascending, trimmed, [] is zero) over a field backend: the
 `_p*` functions (add, subtract, scale, monic, derivative, gcd, inverse modulo
 a polynomial, power modulo a polynomial) and each backend's `pmul`/`pdivmod`.
 Over F_p those two are the int kernel of `_PrimeField`, whose multiply is the
 dense integer product `_int_pmul` that `polygon.IntPoly` multiplies with too.
-`FpPoly` is the immutable F_p value type (construction, `divmod`, `%`); the
-Rabin irreducibility test runs on the lists directly.
+`FpPoly` is the immutable F_p value type (construction, `divmod`, `%`).
 
 An element of F_q is a residue: its reduced coefficient tuple over phi (of
 degree below deg phi), with ints in [0, p), constant first, trimmed, and ()
@@ -42,22 +41,23 @@ converts them once into the backend picked from q and returns residues;
 sorted by their residues under every backend, so the output does not depend
 on which one ran.  Equal-degree splitting draws from `random.Random(0)`,
 built afresh per call; the draws decide only how a product is split, and the
-sorted factor list is the same for every stream.
+sorted factor list is the same for every stream.  `is_irreducible` reads its
+answer off `factor`, as `fq_is_separable` does off `fq_factor`.
 
-Three pure functions sit behind bounded LRU caches of _CACHE_SIZE = 1024
-results each, keyed by their reduced input: `factor` and `is_irreducible` by
-the FpPoly, `fq_factor` by (base, residue tuple).  `fq_factor` validates its
-input on a miss only: a hit is equal to an input that passed, and a
-malformed one is never stored, so it raises as it would uncached.  Results
-are immutable, so a hit returns the stored object.  x^n - m mod p depends
-only on m mod p, so along a window of consecutive m the same inputs come
-back every p values of m.  In one pass over the benchmark's `campaign`
-schedule (seed 1: 240 items, windows of 80 consecutive m for n = 12, 27,
-30), 207 of the 219 `factor` calls (12 distinct inputs), 586 of the 614 `is_irreducible` calls
-(28) and 1340 of the 1468 `fq_factor` calls (128) repeat an earlier input;
-half of those `fq_factor` calls come through `fq_is_separable`.  The caches
-live as long as the process, so `search` reuses results across its rows; a
-one-shot `analyze` has nothing to reuse.
+The two factoring engines sit behind bounded LRU caches of _CACHE_SIZE =
+1024 results each, keyed by their reduced input: `factor` by the FpPoly,
+`fq_factor` by (base, residue tuple).  `fq_factor` validates its input on a
+miss only: a hit is equal to an input that passed, and a malformed one is
+never stored, so it raises as it would uncached.  Results are immutable, so
+a hit returns the stored object.  x^n - m mod p depends only on m mod p, so
+along a window of consecutive m the same inputs come back every p values of
+m.  In one pass over the benchmark's `campaign` schedule (seed 1: 240 items,
+windows of 80 consecutive m for n = 12, 27, 30), 793 of the 833 `factor`
+calls (40 distinct inputs) and 1340 of the 1468 `fq_factor` calls (128)
+repeat an earlier input; 614 of those `factor` calls come through
+`is_irreducible`, and half of those `fq_factor` calls through
+`fq_is_separable`.  The caches live as long as the process, so `search`
+reuses results across its rows; a one-shot `analyze` has nothing to reuse.
 Nothing keyed by an integer input (m, n or their factors) is cached.
 """
 
@@ -71,14 +71,11 @@ from typing import Iterable, Sequence
 
 from . import arith
 
-_MAX_MODULUS = 2**31
 _CACHE_SIZE = 1024  # results per cached function; above the 128 distinct keys of a campaign pass
 
 
 @functools.lru_cache(maxsize=None)
 def _check_modulus(p: int) -> None:
-    if p >= _MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds the 2^31 safety threshold")
     if not arith.is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
@@ -700,27 +697,13 @@ def factor(f: FpPoly) -> FactorMultiset:
     if f.degree == 0:
         return FactorMultiset(f.lc, ())
     pairs = _factor_list(_PrimeField(f.p), list(f.coeffs), random.Random(0))
-    factors = tuple((FpPoly(f.p, cs), m) for cs, m in pairs)
+    factors = tuple((FpPoly._wrap(f.p, cs), m) for cs, m in pairs)
     return FactorMultiset(f.lc, factors)
 
 
-@_cached(lambda f: (f,))
 def is_irreducible(f: FpPoly) -> bool:
-    """Rabin irreducibility test for monic f of degree >= 1."""
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    p, K = f.p, _PrimeField(f.p)
-    x = [0, 1]  # reduced modulo f, as n >= 2
-    if _ppow_mod(K, x, p**n, f.coeffs) != x:
-        return False
-    for ell in arith.factorize(n).prime_divisors:
-        h = _psub(K, _ppow_mod(K, x, p ** (n // ell), f.coeffs), x)
-        if len(_pgcd(K, h, f.coeffs)) != 1:
-            return False
-    return True
+    """f has degree >= 1 and `factor` finds one irreducible factor, of multiplicity 1."""
+    return f.degree >= 1 and [mult for _, mult in factor(f).factors] == [1]
 
 
 def count_degree_d_factors(p: int, d: int, u: int, m: int) -> int:

@@ -6,13 +6,15 @@ the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
 through IntPoly, every IntPoly the engine builds unchecked against the
-public constructor, and the irreducibility test of x^n - m against the rule
-that factors n.
+public constructor, the irreducibility test of x^n - m against the rule
+that factors n, and irreducibility over F_p against trial division.
 """
 
+import itertools
 import math
 
 from monocert import arith, purefield
+from monocert.fppoly import FpPoly
 from monocert.polygon import IntPoly, PhiExpansion, Side
 
 
@@ -140,3 +142,13 @@ def binomial_irreducible_by_factoring(n: int, m: int) -> bool:
     if n % 4 == 0 and m < 0 and (-m) % 4 == 0 and purefield._is_kth_power((-m) // 4, 4):
         return False
     return True
+
+
+def is_irreducible_by_trial_division(f: FpPoly) -> bool:
+    """f has degree >= 1 and no monic polynomial of degree 1 .. deg f // 2 divides it."""
+    p = f.p
+    for d in range(1, f.degree // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if (f % FpPoly(p, low + (1,))).is_zero:
+                return False
+    return f.degree >= 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from monocert import arith, fppoly
 from monocert.fppoly import FpPoly, _padd, _pderiv, _pgcd, _pmod, _pmonic, _ppow_mod, _PrimeField, _pscale, _psub
+from oracles import is_irreducible_by_trial_division
 
 
 def P(p, *coeffs):
@@ -64,10 +65,10 @@ class TestRingOps:
             divmod(P(3, 1, 1), FpPoly.zero(3))
 
     def test_modulus_validation(self):
-        with pytest.raises(ValueError, match="not prime"):
-            FpPoly(6, [1])
-        with pytest.raises(ValueError, match="threshold"):
-            FpPoly(2**31 + 11, [1])
+        for composite in (6, 2**31 + 1):  # 2^31 + 1 = 3 * 715827883
+            with pytest.raises(ValueError, match="not prime"):
+                FpPoly(composite, [1])
+        assert FpPoly(2**31 + 11, [1, 2**31 + 12]).coeffs == (1, 1)  # no ceiling on prime moduli
 
     @given(
         p=st.sampled_from([2, 5, 11]),
@@ -147,7 +148,21 @@ class TestFactor:
             f = FpPoly(p, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
             fm = fppoly.factor(f)
             assert _product(fm, p) == f, f
-            assert all(fppoly.is_irreducible(g) for g, _ in fm.factors)
+            for g, _ in fm.factors:
+                assert g == FpPoly(p, g.coeffs) and g.is_monic, g
+                assert fppoly.is_irreducible(g), g
+                # the oracle's cost is p^(deg g // 2) divisions; above 11^3 it would dominate the suite
+                if p ** (g.degree // 2) <= 11**3:
+                    assert is_irreducible_by_trial_division(g), g
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        cs=st.lists(st.integers(-20, 20), max_size=7),
+    )
+    def test_is_irreducible_matches_trial_division(self, p, cs):
+        # non-monic, constant and zero f included; the last two are not irreducible
+        f = FpPoly(p, cs)
+        assert fppoly.is_irreducible(f) == is_irreducible_by_trial_division(f)
 
     def test_determinism(self):
         f = FpPoly(7, [3, 1, 4, 1, 5, 0, 2, 1])
@@ -178,6 +193,15 @@ class TestCountDegreeDFactors:
                     fm = fppoly.factor(FpPoly(p, [-m] + [0] * (u - 1) + [1]))
                     for d in range(1, u + 1):
                         assert fppoly.count_degree_d_factors(p, d, u, m) == sum(g.degree == d for g, _ in fm.factors), (p, d, u, m)
+
+    def test_prime_above_2_31(self):
+        # p - 1 = 2 * 3^2 * 5 * 131 * 364289, so x^u - m splits in several ways; m = p reduces to x^u
+        p = 4294967311
+        for u in range(1, 13):
+            for m in (1, -1, 2, 3, 7, p):
+                fm = fppoly.factor(FpPoly(p, [-m] + [0] * (u - 1) + [1]))
+                for d in range(1, u + 1):
+                    assert fppoly.count_degree_d_factors(p, d, u, m) == sum(g.degree == d for g, _ in fm.factors), (d, u, m)
 
     def test_separable_degree_sum(self):
         # with p coprime to u*m the reduction is separable: factor degrees sum to u
@@ -437,7 +461,7 @@ class TestFlatBackends:
         assert power == R.one
 
 
-_CACHED = (fppoly.factor, fppoly.is_irreducible, fppoly.fq_factor)
+_CACHED = (fppoly.factor, fppoly.fq_factor)
 
 
 @st.composite
@@ -451,7 +475,7 @@ def _fq_inputs(draw):
 
 
 class TestCaches:
-    """The three cached functions against their uncached bodies."""
+    """The two cached functions against their uncached bodies."""
 
     def _check(self, fn, args, same_key):
         fn.cache_clear()
@@ -470,8 +494,6 @@ class TestCaches:
         f = FpPoly(p, cs)
         if not f.is_zero:
             self._check(fppoly.factor, (f,), (FpPoly(p, list(f.coeffs)),))
-        if f.degree >= 1 and f.is_monic:
-            self._check(fppoly.is_irreducible, (f,), (FpPoly(p, list(f.coeffs)),))
 
     @given(_fq_inputs())
     def test_fq_results_match_uncached(self, case):
@@ -501,10 +523,10 @@ class TestCaches:
 
     def test_size_stays_bounded(self):
         assert all(fn.cache_info().maxsize == fppoly._CACHE_SIZE for fn in _CACHED)
-        fppoly.is_irreducible.cache_clear()
+        fppoly.factor.cache_clear()
         p = 2**31 - 1
         for c in range(fppoly._CACHE_SIZE + 100):
             assert fppoly.is_irreducible(FpPoly(p, [c, 1]))
-        info = fppoly.is_irreducible.cache_info()
+        info = fppoly.factor.cache_info()
         assert info.misses == fppoly._CACHE_SIZE + 100
         assert info.currsize == fppoly._CACHE_SIZE

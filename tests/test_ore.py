@@ -26,6 +26,12 @@ class TestOreSplit:
         assert split.index_valuation == 0
         assert sorted((s.e, s.f) for s in split.slots) == [(1, 1), (1, 2)]
 
+    def test_prime_above_2_31(self):
+        # 2 is not a cube mod 4294967311, so x^3 - 2 stays inert there
+        split = ore.ore_split(IntPoly.binomial(3, 2), 4294967311)
+        assert split.exact and split.index_valuation == 0
+        assert sum(s.e * s.f for s in split.slots) == 3
+
     def test_unramified_shape(self):
         F = IntPoly.binomial(3, 2)
         split = ore.ore_split(F, 7)

@@ -239,6 +239,14 @@ class TestGeneralCriterion:
         assert v.ideal_count == effective * fppoly.count_degree_d_factors(p, v.witness_d, u, m)
         assert v.irreducible_count == arith.count_irreducibles(p, v.witness_d)
 
+    def test_prime_of_n_above_2_31(self):
+        # p = 4294967311 | n: the criterion counts factors mod p by pow(m, k, p) alone
+        n = 4294967311 * 2**31
+        assert purefield.theorem_general_test(n, 3) is None
+        v = purefield.analyze(n, 3)
+        assert v.status == "inconclusive"
+        assert "splitting-count criterion did not fire" in v.notes
+
     def test_cross_validation_against_splitting(self):
         # every firing with moderate degree is confirmed by the full splitting
         for n, m in [(27, 80), (27, 82), (45, 19)]:
@@ -312,7 +320,7 @@ class TestConstructGenerator:
                 purefield.construct_generator(3, a, 2)
 
     def test_prime_above_modulus_limit(self):
-        # 4294967311 >= 2^31 is beyond the F_p engine; the closed-form self-check needs none of it
+        # the closed-form self-check decides q = 4294967311 without factoring over F_q
         v = purefield.analyze(3, (3 * 4294967311) ** 2)
         assert v.status == "monogenic" and v.generator_base == 3 * 4294967311
         assert "q=4294967311: generator index valuation 0; defining-root index valuation >= 1" in v.notes
