@@ -11,19 +11,25 @@ Three independent certificate routes:
   n, every prime of n dividing a) whose index is verified prime by prime;
   `construct_generator` alone decides those hypotheses, and `analyze` reaches
   it only through `detect_power_decomposition`, a screen that never factors;
-* the direct route: full splitting data at candidate primes and the
-  common-index-divisor test.
+* the direct route: the common-index-divisor test on the splitting of
+  candidate primes.
 
+The direct route runs Ore splitting only at odd primes p not dividing m, and
+only up to degree 64.  At p = 2 with m odd the primes above 2 follow from
+(nu_2(m - 1), the degrees of the factors of x^u - 1 mod 2) in closed form
+(`_two_adic_witness`), so that test runs on integer arithmetic for every n.
 At a prime p | m, x^n - m is x^n mod p, and Ore's data (one side, residual
 polynomial y^g - m/p^k) is known in closed form: the generator self-check and
-the direct route read it there and run no Ore splitting.
+the direct route read it there.
 
 Verdicts carry every number needed to recheck them from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
@@ -46,10 +52,36 @@ def _iroot(x: int, k: int) -> int:
         r = nr
 
 
+@functools.lru_cache(maxsize=256)
+def _screen_primes(k: int) -> tuple[int, ...]:
+    """The four smallest primes l = 1 mod k."""
+    found: list[int] = []
+    ell = 1
+    while len(found) < 4:
+        ell += k
+        if arith.is_prime(ell):
+            found.append(ell)
+    return tuple(found)
+
+
+def _kth_root(b: int, k: int) -> int | None:
+    """The k-th root of b >= 0 if it is exact, else None.
+
+    A k-th power c^k has b^((l-1)/k) = c^(l-1) in {0, 1} mod every prime
+    l = 1 mod k, so a residue outside {0, 1} rejects b without a Newton step;
+    every b that passes is decided by _iroot.
+    """
+    for ell in _screen_primes(k):
+        if pow(b % ell, (ell - 1) // k, ell) > 1:
+            return None
+    root = _iroot(b, k)
+    return root if root**k == b else None
+
+
 def _is_kth_power(m: int, k: int) -> bool:
     if m < 0 and k % 2 == 0:
         return False
-    return _iroot(abs(m), k) ** k == abs(m)
+    return _kth_root(abs(m), k) is not None
 
 
 def binomial_irreducible(n: int, m: int) -> bool:
@@ -300,6 +332,80 @@ def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     return None
 
 
+def _two_adic_primes(r: int, f: int, m: int) -> list[tuple[int, int]]:
+    """(e, residue degree) of the primes above 2 over one factor of x^u - 1 mod 2.
+
+    The field is that of x^n - m with n = 2^r * u, r >= 1, u and m odd, and
+    the factor phi has degree f.  With nu = nu_2(m - 1), capped at r + 2:
+    nu = 1 gives one prime with e = 2^r; otherwise, with k = min(nu - 1, r),
+    there is one prime with e = 2^(r-i) for each i = 1 .. k-1, and at the
+    bottom two primes with e = 2^(r-k) when f is even or nu - 1 > r, else
+    one with e = 2^(r-k) and residue degree 2f.  Every other residue degree
+    is f.
+
+    Why: x^u - m is separable mod 2, so Hensel lifts phi to Z_2; its root
+    beta generates the unramified extension E of degree f, and the primes
+    over phi are the factors of x^(2^r) - beta over E (e kept, residue
+    degree times f).  As u is odd, u-th powers permute
+    Z_2^x = {+-1} x (1 + 4 Z_2), so m = mu^u for a unit mu in Z_2 and
+    beta = zeta * mu with zeta^u = 1.  zeta has odd order, so it is a 2^r-th
+    power in E, and x -> x * zeta^(1/2^r) turns x^(2^r) - beta into
+    x^(2^r) - mu; nu_2(mu - 1) = nu_2(m - 1), as (m - 1)/(mu - 1) is a sum of
+    u odd terms.
+
+    For a unit s with nu_2(s - 1) = 1, (x + 1)^(2^j) - s is Eisenstein, so
+    x^(2^j) - s is one prime with e = 2^j: that is the case nu = 1.  While
+    nu >= 3, mu = s^2 with s = 1 mod 4 in Z_2, nu_2(s - 1) = nu - 1 and
+    nu_2(-s - 1) = 1, so x^(2^r) - mu = (x^(2^(r-1)) - s)(x^(2^(r-1)) + s)
+    peels off one prime with e = 2^(r-1) and leaves x^(2^(r-1)) - s.  After
+    k - 1 peels the rest is x^(2^j) - mu', j = r - k + 1.  If nu - 1 > r,
+    then j = 1 and nu_2(mu' - 1) >= 3, so x^2 - mu' splits over Z_2 into two
+    primes with e = 1.  Otherwise mu' = 1 + 4a with a odd, and
+    mu' = (1 + 2t)^2 needs t^2 + t = a: mu' is a square in E iff
+    y^2 + y + 1 has a root in F_(2^f) (Hensel), that is iff f is even.  Its
+    root s' = 1 + 2t then has t and 1 + t units, so s' - 1 and -s' - 1 have
+    valuation 1 and x^(2^(j-1)) -+ s' are two primes with e = 2^(j-1).  If
+    f is odd these two factors live over the unramified quadratic extension
+    of E and are conjugate: one prime of residue degree 2f.  This is the
+    true split, so the count is exact; `ore_split` agrees with it in the
+    tests.
+    """
+    nu = min(r + 2, ((m - 1) & (1 - m)).bit_length() - 1)
+    if nu == 1:
+        return [(2**r, f)]
+    k = min(nu - 1, r)
+    primes = [(2 ** (r - i), f) for i in range(1, k)]
+    if f % 2 == 0 or nu - 1 > r:
+        return primes + [(2 ** (r - k), f)] * 2
+    return primes + [(2 ** (r - k), 2 * f)]
+
+
+def _two_adic_witness(n: int, m: int) -> tuple[int, int, int] | None:
+    """(d, primes of residue degree d above 2, N_2(d)) for the smallest d with more primes, or None.
+
+    Needs n even and m odd.  The count is that of `_two_adic_primes`, with
+    `fppoly.count_degree_d_factors(2, f, u, m)` factors phi of degree f, so
+    no polynomial is built and n may be huge.  The loop over d stops once
+    2^(d-1) >= (r + 3) * u: at most u/d factors have degree d and each gives
+    at most k + 1 <= r + 1 primes of degree d, and at most 2u/d have degree
+    d/2 and give one each, so degree d has at most (r + 3) * u / d primes,
+    while d * N_2(d) >= 2^d - (2^(floor(d/2) + 1) - 2) >= 2^(d-1).
+    """
+    r = (n & -n).bit_length() - 1
+    u = n >> r
+    counts: Counter[int] = Counter()
+    d = 1
+    while 2 ** (d - 1) < (r + 3) * u:
+        factor_count = fppoly.count_degree_d_factors(2, d, u, m)
+        for _, degree in _two_adic_primes(r, d, m):
+            counts[degree] += factor_count
+        bound = arith.count_irreducibles(2, d)
+        if counts[d] > bound:
+            return d, counts[d], bound
+        d += 1
+    return None
+
+
 _FAMILIES = {"5-7": (5, 7), "3-11": (3, 11), "5-11": (5, 11)}
 
 
@@ -363,11 +469,13 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
     `construct_generator`, which factors b once.  g is found by taking exact
     q-th roots for primes q alone, as long as they exist: the exponents k with
     |m| a k-th power are the divisors of g, so g is the product of the q taken.
+    Residues mod four primes l = 1 mod q reject most non-powers before any
+    Newton step (`_kth_root`).
     """
     b, u, q = abs(m), 1, 2
     while q <= b.bit_length():
-        root = _iroot(b, q)
-        if root**q == b:
+        root = _kth_root(b, q)
+        if root is not None:
             b, u = root, u * q
         else:
             q += 1
@@ -458,7 +566,7 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     )
 
 
-# Largest degree whose direct splits analyze attempts.
+# Largest degree whose direct splits at odd p not dividing m analyze attempts.
 _SPLIT_DEGREE_BUDGET = 64
 
 
@@ -469,10 +577,12 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     `detect_power_decomposition` (m itself is never factored; the root a is
     factored once, by `construct_generator`, and a GeneratorHypothesisError
     falls through to the next route, any other error surfaces); then the
-    splitting-count criterion; then, for n up to _SPLIT_DEGREE_BUDGET = 64,
-    direct splits with the common-index-divisor test at every prime of n*m
-    below n.  Otherwise an honest Inconclusive: monogenity is claimed only
-    through the verified construction.
+    splitting-count criterion; then the common-index-divisor test at p = 2
+    for n even and m odd, for every n, by the closed-form prime count of
+    `_two_adic_witness`; then, for n up to _SPLIT_DEGREE_BUDGET = 64, the
+    same test by direct splits at every other prime of n*m below n.
+    Otherwise an honest Inconclusive: monogenity is claimed only through the
+    verified construction.
 
     The direct route answers a prime p | m in closed form (`_pure_split`) and
     only records whether the split is p-regular: an exact split there is never
@@ -492,6 +602,20 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     if verdict is not None:
         return verdict
     notes.append("splitting-count criterion did not fire")
+    two_adic = n % 2 == 0 and m % 2 == 1
+    if two_adic:
+        witness = _two_adic_witness(n, m)
+        if witness is not None:
+            d, ideal_count, bound = witness
+            return MonogenityVerdict.not_monogenic(
+                n,
+                m,
+                provenance="common-index-divisor:p=2",
+                p=2,
+                d=d,
+                ideal_count=ideal_count,
+                irreducible_count=bound,
+            )
     if n <= _SPLIT_DEGREE_BUDGET:
         F = IntPoly.binomial(n, m)
         candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
@@ -501,6 +625,8 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
                 if not _pure_split(n, m, p)[0]:
                     notes.append(irregular.format(p))
                 continue
+            if p == 2:
+                continue  # counted above
             try:
                 witness = ore.common_index_divisor(F, p)
             except ore.NotPRegular:
@@ -518,5 +644,7 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
                 )
         notes.append(f"no common index divisor among primes {candidates}")
     else:
+        if two_adic:
+            notes.append("p=2: no common index divisor")
         notes.append(f"degree {n} exceeds the direct-split budget {_SPLIT_DEGREE_BUDGET}")
     return MonogenityVerdict.inconclusive(n, m, notes)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,6 +45,22 @@ class TestBinomialIrreducible:
             for k in range(1, 20):
                 r = purefield._iroot(x, k)
                 assert r**k <= x < (r + 1) ** k, (x, k)
+
+    @settings(max_examples=300)
+    @given(c=st.integers(0, 2**70), k=st.integers(2, 61), t=st.one_of(st.just(1), st.integers(1, 2**20)))
+    @example(c=2**31 - 1, k=2, t=1)
+    @example(c=0, k=3, t=5)
+    def test_kth_root_screen_only_rejects(self, c, k, t):
+        # the residue screen may reject, never accept: every answer is the one of _iroot alone
+        b = c**k * t
+        root = purefield._iroot(b, k)
+        assert purefield._kth_root(b, k) == (root if root**k == b else None)
+
+    def test_screen_primes(self):
+        for k in range(2, 62):
+            ells = purefield._screen_primes(k)
+            assert [ell for ell in range(2, ells[-1] + 1) if arith.is_prime(ell) and ell % k == 1] == list(ells)
+            assert len(ells) == 4
 
     @settings(max_examples=300)
     @given(
@@ -395,6 +412,105 @@ class TestPureSplitOracle:
             assert ore.common_index_divisor(F, p) is None
 
 
+# (n, m) -> (d, ideal_count, irreducible_count): every pair with n in
+# {66, 72, 80, 96, 100, 128, 130, 160, 192, 256} and odd 3 <= m < 60 that the
+# 2-adic count decides; all were inconclusive while p = 2 needed a direct split
+# of degree at most 64
+ABOVE_BUDGET_WITNESSES = {
+    (66, 5): (2, 3, 1), (66, 13): (2, 3, 1), (66, 17): (2, 2, 1), (66, 21): (2, 3, 1),
+    (66, 29): (2, 3, 1), (66, 33): (2, 2, 1), (66, 41): (2, 2, 1), (66, 45): (2, 3, 1),
+    (66, 53): (2, 3, 1), (66, 57): (2, 2, 1), (72, 5): (2, 3, 1), (72, 13): (2, 3, 1),
+    (72, 17): (2, 5, 1), (72, 21): (2, 3, 1), (72, 29): (2, 3, 1), (72, 33): (1, 4, 2),
+    (72, 41): (2, 4, 1), (72, 45): (2, 3, 1), (72, 53): (2, 3, 1), (72, 57): (2, 4, 1),
+    (80, 17): (4, 4, 3), (80, 33): (1, 3, 2), (96, 5): (2, 3, 1), (96, 13): (2, 3, 1),
+    (96, 17): (2, 5, 1), (96, 21): (2, 3, 1), (96, 29): (2, 3, 1), (96, 33): (1, 3, 2),
+    (96, 41): (2, 4, 1), (96, 45): (2, 3, 1), (96, 53): (2, 3, 1), (96, 57): (2, 4, 1),
+    (100, 17): (1, 3, 2), (100, 33): (1, 3, 2), (128, 33): (1, 3, 2), (160, 17): (4, 4, 3),
+    (160, 33): (1, 3, 2), (192, 5): (2, 3, 1), (192, 13): (2, 3, 1), (192, 17): (2, 5, 1),
+    (192, 21): (2, 3, 1), (192, 29): (2, 3, 1), (192, 33): (1, 3, 2), (192, 41): (2, 4, 1),
+    (192, 45): (2, 3, 1), (192, 53): (2, 3, 1), (192, 57): (2, 4, 1), (256, 33): (1, 3, 2),
+}
+
+
+class TestTwoAdicCount:
+    def test_matches_ore_split(self):
+        # per factor phi, the closed-form primes are Ore's slots; the witness is the one of Ore's counts
+        for n in range(2, 129, 2):
+            r = arith._valuation(2, n)
+            u = n >> r
+            # x^n - m = (x^u - 1)^(2^r) mod 2 for every odd m
+            phi_degrees = Counter({f: fppoly.count_degree_d_factors(2, f, u, 1) for f in range(1, u + 1)})
+            for m in range(-199, 200, 2):
+                if abs(m) < 2 or not purefield.binomial_irreducible(n, m):
+                    continue
+                split = ore.ore_split(IntPoly.binomial(n, m), 2)
+                assert split.exact, (n, m)
+                by_phi: dict = {}
+                for slot in split.slots:
+                    by_phi.setdefault(slot.phi, []).append((slot.e, slot.f))
+                assert +Counter(phi.degree for phi in by_phi) == +phi_degrees, (n, m)
+                for phi, primes in by_phi.items():
+                    assert sorted(primes) == sorted(purefield._two_adic_primes(r, phi.degree, m)), (n, m, phi)
+                counts = Counter(slot.f for slot in split.slots)
+                bounds = {d: arith.count_irreducibles(2, d) for d in counts}
+                ore_witness = next(((d, counts[d], bounds[d]) for d in sorted(counts) if counts[d] > bounds[d]), None)
+                assert purefield._two_adic_witness(n, m) == ore_witness, (n, m)
+
+    def test_primes_cover_the_degree(self):
+        # sum of e * residue degree over phi is 2^r * deg(phi), far beyond the n of the Ore grid
+        for r in range(1, 12):
+            for f in range(1, 7):
+                for m in range(-(2 ** (r + 3)) + 1, 2 ** (r + 3), 2):
+                    if m == 1:
+                        continue
+                    primes = purefield._two_adic_primes(r, f, m)
+                    assert sum(e * g for e, g in primes) == 2**r * f, (r, f, m)
+
+    def test_verdicts_above_the_budget(self):
+        # the only verdicts the count changes, each re-derived by a direct split at p = 2
+        for n in (66, 72, 80, 96, 100, 128, 130, 160, 192, 256):
+            for m in range(3, 60, 2):
+                if not purefield.binomial_irreducible(n, m) or purefield.theorem_general_test(n, m):
+                    continue
+                witness = ore.common_index_divisor(IntPoly.binomial(n, m), 2)
+                expected = witness and (witness.d, witness.ideal_count, witness.irreducible_count)
+                assert ABOVE_BUDGET_WITNESSES.get((n, m)) == expected, (n, m)
+                v = purefield.analyze(n, m)
+                if expected:
+                    assert (v.status, v.provenance, v.p) == ("not_monogenic", "common-index-divisor:p=2", 2)
+                    assert (v.witness_d, v.ideal_count, v.irreducible_count) == expected
+                else:
+                    assert v.status == "inconclusive"
+                    assert v.notes[-2:] == (
+                        "p=2: no common index divisor",
+                        f"degree {n} exceeds the direct-split budget 64",
+                    )
+
+    def test_huge_n(self, monkeypatch):
+        v = purefield.analyze(2**200, 33)
+        assert (v.status, v.provenance, v.witness_d, v.ideal_count, v.irreducible_count) == (
+            "not_monogenic",
+            "common-index-divisor:p=2",
+            1,
+            3,
+            2,
+        )
+        degrees = []
+        original = fppoly.count_degree_d_factors
+
+        def counted(p, d, u, m):
+            degrees.append(d)
+            return original(p, d, u, m)
+
+        monkeypatch.setattr(fppoly, "count_degree_d_factors", counted)
+        n = 2 * (2**61 - 1)
+        v = purefield.analyze(n, 3)
+        assert v.status == "inconclusive"
+        assert v.notes[-2:] == ("p=2: no common index divisor", f"degree {n} exceeds the direct-split budget 64")
+        # the cutoff 2^(d-1) >= (r + 3) * u = 4 * (2^61 - 1) ends the count after d = 63
+        assert degrees == list(range(1, 64))
+
+
 class TestBinomialDiscriminant:
     def test_known_values(self):
         assert binomial_discriminant(6, 30) == 6**6 * 30**5
@@ -622,7 +738,15 @@ class TestAnalyze:
 
         monkeypatch.setattr(ore, "ore_split", broken)
         with pytest.raises(ValueError, match="injected fault"):
-            purefield.analyze(4, 5)  # p = 2 does not divide m, so the direct route splits there
+            purefield.analyze(9, 5)  # p = 3 does not divide m, so the direct route splits there
+
+    def test_two_adic_errors_propagate(self, monkeypatch):
+        def broken(p, d, u, m):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(fppoly, "count_degree_d_factors", broken)
+        with pytest.raises(ValueError, match="injected fault"):
+            purefield.analyze(4, 5)  # 4 has no odd prime for the criterion; only the count at p = 2 calls it
 
     def test_generator_defects_propagate(self, monkeypatch):
         # only GeneratorHypothesisError falls through to the other routes; any other error surfaces
