@@ -12,37 +12,25 @@ An element of F_q is a residue: its reduced coefficient tuple over phi (of
 degree below deg phi), with ints in [0, p), constant first, trimmed, and ()
 for zero.  phi travels beside it as an explicit monic `FpPoly` base.  The
 engine factors polynomials (squarefree decomposition, distinct-degree,
-randomized equal-degree splitting) over any of three field backends, each of
-which takes residues in with `from_residue` and gives them back with
+randomized equal-degree splitting) over either of two field backends, each
+of which takes residues in with `from_residue` and gives them back with
 `to_residue`:
 
 * `_PrimeField`: F_p with int elements.  `factor` uses it, and so does F_q
   when deg phi = 1, with a residue's constant coefficient as the int.
-* `_ZechField`: F_q for deg phi >= 2 and q <= _ZECH_MAX_ORDER = 81.  An
-  element is its discrete log to a primitive element (-1 for zero): multiply
-  adds logs, inverse negates, add is one Zech-table lookup.  The exp, log
-  and Zech tables (about 3*q ints) are built on first use of a field and
-  cached for the last 64 (p, phi).  Measured against `_ExtField` (Python
-  3.11, 2-vCPU Xeon, one cold pass per fresh process): on the benchmark's
-  `campaign` schedule for seed 11, `fq_factor` took 23-27 ms with Zech up
-  to q = 81, 7-8 ms of it building 21 tables, against 42-46 ms with
-  `_ExtField` for every field with deg phi >= 2.  On `analyze(n, m)` for
-  n = 20-46 and every third m < 200, a threshold of 1024 took `fq_factor`
-  from 416-436 ms to 584-597 ms, 280-288 ms of it building 133 tables:
-  above q = 81 only a warm table pays, and a one-shot call would not.
-* `_ExtField`: F_q with the residue tuples themselves as elements, multiplied
-  by the `_PrimeField` kernel and reduced mod phi, inverted by extended
-  Euclid; the backend above the threshold and the reference the others are
-  tested against.
+* `_ExtField`: F_q for deg phi >= 2, with the residue tuples themselves as
+  elements, multiplied by the `_PrimeField` kernel and reduced mod phi,
+  inverted by extended Euclid.
 
 `fq_factor` takes the base and residue coefficients, validates both,
-converts them once into the backend picked from q and returns residues;
-`fq_is_separable` reads separability off its multiplicities.  Factors are
-sorted by their residues under every backend, so the output does not depend
-on which one ran.  Equal-degree splitting draws from `random.Random(0)`,
-built afresh per call; the draws decide only how a product is split, and the
-sorted factor list is the same for every stream.  `is_irreducible` reads its
-answer off `factor`, as `fq_is_separable` does off `fq_factor`.
+converts them once into the backend picked from deg phi and returns
+residues; `fq_is_separable` reads separability off its multiplicities.
+Factors are sorted by degree, then by their coefficients, which under both
+backends order as the residues do.  Equal-degree splitting draws from
+`random.Random(0)`, built afresh per call; the draws decide only how a
+product is split, and the sorted factor list is the same for every stream.
+`is_irreducible` reads its answer off `factor`, as `fq_is_separable` does
+off `fq_factor`.
 
 The two factoring engines sit behind bounded LRU caches of _CACHE_SIZE =
 1024 results each, keyed by their reduced input: `factor` by the FpPoly,
@@ -58,7 +46,9 @@ repeat an earlier input; 614 of those `factor` calls come through
 `is_irreducible`, and half of those `fq_factor` calls through
 `fq_is_separable`.  The caches live as long as the process, so `search`
 reuses results across its rows; a one-shot `analyze` has nothing to reuse.
-Nothing keyed by an integer input (m, n or their factors) is cached.
+One cache is keyed by an integer input: `_check_modulus` remembers every
+prime modulus p it has accepted, without a bound, so a process that splits
+at many distinct primes keeps one entry for each.
 """
 
 from __future__ import annotations
@@ -212,45 +202,7 @@ class FpPoly:
 # plain lists of its elements: ascending coefficients, trimmed, [] is zero.
 
 
-class _Field:
-    """Dense multiply and divmod through the element operations of a subclass."""
-
-    __slots__ = ()
-
-    def pmul(self, f, g):
-        if not f or not g:
-            return []
-        zero, add, mul = self.zero, self.add, self.mul
-        out = [zero] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a == zero:
-                continue
-            for j, b in enumerate(g, i):
-                out[j] = add(out[j], mul(a, b))
-        return _trim(self, out)
-
-    def pdivmod(self, f, g):
-        if not g:
-            raise ZeroDivisionError("polynomial division by zero")
-        zero, add, neg, mul = self.zero, self.add, self.neg, self.mul
-        rem = list(f)
-        n = len(g) - 1
-        if len(rem) <= n:
-            return [], rem
-        inv_lc = self.inv(g[-1])
-        quot = [zero] * (len(rem) - n)
-        for k in range(len(quot) - 1, -1, -1):
-            c = mul(rem[k + n], inv_lc)
-            if c == zero:
-                continue
-            quot[k] = c
-            minus_c = neg(c)
-            for j, d in enumerate(g, k):
-                rem[j] = add(rem[j], mul(minus_c, d))
-        return _trim(self, quot), _trim(self, rem[:n])
-
-
-class _PrimeField(_Field):
+class _PrimeField:
     """F_p with plain int elements; its pmul and pdivmod are the F_p kernel that FpPoly wraps."""
 
     __slots__ = ("p",)
@@ -281,9 +233,6 @@ class _PrimeField(_Field):
 
     def rand(self, rng: random.Random):
         return rng.randrange(self.p)
-
-    def sort_key(self, a):
-        return a
 
     def from_residue(self, c):
         return c[0] if c else 0
@@ -317,109 +266,12 @@ class _PrimeField(_Field):
         return quot, _trim(self, [c % p for c in rem[:n]])
 
 
-def _coeff_index(p: int, coeffs: Sequence[int]) -> int:
-    """The residue with these coefficients (constant first) as a base-p number."""
-    idx = 0
-    for c in reversed(coeffs):
-        idx = idx * p + c
-    return idx
-
-
-def _index_coeffs(p: int, idx: int) -> tuple[int, ...]:
-    """Inverse of _coeff_index: the trimmed coefficient tuple."""
-    out = []
-    while idx:
-        idx, c = divmod(idx, p)
-        out.append(c)
-    return tuple(out)
-
-
-class _ZechField(_Field):
-    """F_p[x]/(phi), deg phi >= 2, with an element stored as its discrete log to a primitive element g.
-
-    Zero is -1.  Multiplying adds logs mod q-1 and inverting negates; adding
-    uses g^a + g^b = g^(a + Z(b - a)) with the Zech logarithm Z(d) = log(1 + g^d).
-    The tables (exp: log -> residue index, log: index -> log, zech) hold q - 1,
-    q and q - 1 ints, residues indexed by their coefficients read in base p.
-    """
-
-    __slots__ = ("char", "order", "ext_degree", "exp", "log", "zech", "_qm1", "_neg_one")
-    zero = -1
-    one = 0
-
-    def __init__(self, base: FpPoly):
-        p, q = base.p, base.p**base.degree
-        F = _PrimeField(p)
-        phi = list(base.coeffs)
-        g = _primitive_element(F, phi, q)
-        exp, log = [], [-1] * q
-        power = [1]
-        for k in range(q - 1):
-            idx = _coeff_index(p, power)
-            exp.append(idx)
-            log[idx] = k
-            power = _pmod(F, F.pmul(power, g), phi)
-        self.char, self.order, self.ext_degree = p, q, base.degree
-        self.exp, self.log = exp, log
-        # 1 + g^d differs from g^d only in the constant coefficient
-        self.zech = [log[i - i % p + (i + 1) % p] for i in exp]
-        self._qm1 = q - 1
-        self._neg_one = 0 if p == 2 else (q - 1) // 2
-
-    def add(self, a, b):
-        if a < 0:
-            return b
-        if b < 0:
-            return a
-        z = self.zech[(b - a) % self._qm1]
-        return z if z < 0 else (a + z) % self._qm1
-
-    def neg(self, a):
-        return a if a < 0 else (a + self._neg_one) % self._qm1
-
-    def mul(self, a, b):
-        return -1 if a < 0 or b < 0 else (a + b) % self._qm1
-
-    def inv(self, a):
-        if a < 0:
-            raise ZeroDivisionError("inverting zero field element")
-        return -a % self._qm1
-
-    def from_int(self, k: int):
-        return self.log[k % self.char]
-
-    def rand(self, rng: random.Random):
-        return self.log[rng.randrange(self.order)]
-
-    def from_residue(self, c):
-        return self.log[_coeff_index(self.char, c)]
-
-    def to_residue(self, a):
-        return () if a < 0 else _index_coeffs(self.char, self.exp[a])
-
-    sort_key = to_residue
-
-
-def _primitive_element(F: _PrimeField, phi: list, q: int) -> list:
-    """The first residue mod phi, in base-p index order from x on, whose order is exactly q - 1."""
-    exponents = [(q - 1) // r for r in arith.factorize(q - 1).prime_divisors]
-    for idx in range(F.p, q):
-        g = list(_index_coeffs(F.p, idx))
-        if _ppow_mod(F, g, q - 1, phi) == [1] and all(_ppow_mod(F, g, e, phi) != [1] for e in exponents):
-            return g
-    raise ValueError("base is not irreducible: no primitive element")
-
-
-@functools.lru_cache(maxsize=64)
-def _zech_field(base: FpPoly) -> _ZechField:
-    return _ZechField(base)
-
-
-class _ExtField(_Field):
-    """F_p[x]/(phi) on residue tuples: the backend above _ZECH_MAX_ORDER and the tests' reference.
+class _ExtField:
+    """F_p[x]/(phi), deg phi >= 2, on residue tuples.
 
     Multiplying is the `_PrimeField` product reduced mod phi; inverting is
-    extended Euclid modulo phi.
+    extended Euclid modulo phi.  Polynomials over it multiply and divide by
+    the dense loops below, through these element operations.
     """
 
     __slots__ = ("base", "char", "order", "ext_degree", "_F")
@@ -464,21 +316,45 @@ class _ExtField(_Field):
     def to_residue(self, a):
         return a
 
-    sort_key = to_residue
+    def pmul(self, f, g):
+        if not f or not g:
+            return []
+        zero, add, mul = self.zero, self.add, self.mul
+        out = [zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a == zero:
+                continue
+            for j, b in enumerate(g, i):
+                out[j] = add(out[j], mul(a, b))
+        return _trim(self, out)
 
-
-# Largest residue field with Zech tables; above it a cold table costs more than it saves.
-_ZECH_MAX_ORDER = 81
+    def pdivmod(self, f, g):
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
+        zero, one, add, neg, mul = self.zero, self.one, self.add, self.neg, self.mul
+        rem = list(f)
+        n = len(g) - 1
+        if len(rem) <= n:
+            return [], rem
+        # as in _PrimeField.pdivmod the lead term is never subtracted; a monic g, the usual
+        # divisor, needs neither its lead's inverse nor products by it
+        inv_lc = one if g[-1] == one else self.inv(g[-1])
+        low = g[:n]
+        quot = [zero] * (len(rem) - n)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + n] if inv_lc == one else mul(rem[k + n], inv_lc)
+            if c != zero:
+                quot[k] = c
+                minus_c = neg(c)
+                for j, d in enumerate(low, k):
+                    rem[j] = add(rem[j], mul(minus_c, d))
+        return _trim(self, quot), _trim(self, rem[:n])
 
 
 def _fq_backend(base: FpPoly):
-    """The backend for F_p[x]/(base), picked from q."""
-    if base.degree == 1:
-        # a residue modulo a linear base is a constant
-        return _PrimeField(base.p)
-    if base.p**base.degree <= _ZECH_MAX_ORDER:
-        return _zech_field(base)
-    return _ExtField(base)
+    """The backend for F_p[x]/(base), picked from deg base."""
+    # a residue modulo a linear base is a constant
+    return _PrimeField(base.p) if base.degree == 1 else _ExtField(base)
 
 
 def _check_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> None:
@@ -673,7 +549,7 @@ def _factor_list(K, f, rng):
         for prod, d in _distinct_degree(K, part):
             for irr in _equal_degree(K, prod, d, rng):
                 found.append((irr, mult))
-    found.sort(key=lambda fm: (len(fm[0]), [K.sort_key(c) for c in fm[0]]))
+    found.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return found
 
 

@@ -1,11 +1,12 @@
 """Prime splitting data via residual polynomials: exactness, index bounds, witnesses.
 
 For a monic polynomial F and a prime p, every monic irreducible factor of
-F mod p is lifted (coefficients in [0, p)), developed, and its principal
-polygon's residual polynomials are factored over the residue extension.  When
-every residual is separable the splitting is exact: each slot is a prime ideal
-with its ramification index e and residue degree f.  Otherwise only the index
-lower bound is reported, never a splitting claim.
+F mod p is lifted (coefficients in [0, p), moved by p while the lift
+divides F over Z), developed, and its principal polygon's residual
+polynomials are factored over the residue extension.  When every residual
+is separable the splitting is exact: each slot is a prime ideal with its
+ramification index e and residue degree f.  Otherwise only the index lower
+bound is reported, never a splitting claim.
 """
 
 from __future__ import annotations
@@ -87,8 +88,10 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     with `exact` False the slot list is partial and `index_valuation` is only
     a lower bound.
 
-    Each factor (phi_bar, mult) of F mod p is developed only through part
-    mult: phi_bar^mult exactly divides F mod p, so part mult is the first of
+    Each factor (phi_bar, mult) of F mod p is lifted with coefficients in
+    [0, p), moved on by the constant p while the lift divides F over Z (its
+    polygon would be unbounded), and developed only through part mult:
+    phi_bar^mult exactly divides F mod p, so part mult is the first of
     valuation 0, where the lower hull's negative-slope prefix ends.  No later
     part changes the polygon, its index or its residual polynomials.
     """
@@ -104,6 +107,10 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     for phi_bar, mult in factors:
         phi = IntPoly.lift(phi_bar)
         exp = phi_expand(F, phi, count=mult + 1)
+        while exp.parts[0].is_zero:
+            # F has finitely many monic factors over Z, so this ends
+            phi = phi + IntPoly.const(p)
+            exp = phi_expand(F, phi, count=mult + 1)
         poly = principal_polygon(exp, p)
         assert poly.total_length == mult, "polygon length must equal the factor multiplicity"
         index_val += polygon_index(poly, phi_bar.degree)

@@ -587,7 +587,8 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     The direct route answers a prime p | m in closed form (`_pure_split`) and
     only records whether the split is p-regular: an exact split there is never
     a witness, as the roots of y^g - m/p^k are nonzero, so at most p - 1
-    primes have residue degree 1 and at most N_p(f) any degree f >= 2.
+    primes have residue degree 1 and at most N_p(f) any degree f >= 2.  That
+    record needs no polynomial arithmetic, so it is kept above the budget too.
     """
     _check_field(n, m)
     notes: list[str] = []
@@ -616,10 +617,10 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
                 ideal_count=ideal_count,
                 irreducible_count=bound,
             )
+    irregular = "p={}: splitting not p-regular; only an index lower bound is known"
     if n <= _SPLIT_DEGREE_BUDGET:
         F = IntPoly.binomial(n, m)
         candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
-        irregular = "p={}: splitting not p-regular; only an index lower bound is known"
         for p in candidates:
             if m % p == 0:
                 if not _pure_split(n, m, p)[0]:
@@ -646,5 +647,9 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     else:
         if two_adic:
             notes.append("p=2: no common index divisor")
+        # irregular at p | m needs p | gcd(n, nu_p(m)), so p <= nu_p(m) < bit_length(|m|)
+        for p in range(2, min(n, abs(m).bit_length() + 1)):
+            if n % p == 0 and m % p == 0 and arith.is_prime(p) and not _pure_split(n, m, p)[0]:
+                notes.append(irregular.format(p))
         notes.append(f"degree {n} exceeds the direct-split budget {_SPLIT_DEGREE_BUDGET}")
     return MonogenityVerdict.inconclusive(n, m, notes)

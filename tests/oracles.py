@@ -7,7 +7,9 @@ resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
 through IntPoly, every IntPoly the engine builds unchecked against the
 public constructor, the irreducibility test of x^n - m against the rule
-that factors n, and irreducibility over F_p against trial division.
+that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
+against trial division, the latter with its residue arithmetic done by
+FpPoly division mod base rather than by the factoring engine.
 """
 
 import itertools
@@ -152,3 +154,47 @@ def is_irreducible_by_trial_division(f: FpPoly) -> bool:
             if (f % FpPoly(p, low + (1,))).is_zero:
                 return False
     return f.degree >= 1
+
+
+def fq_mul(base: FpPoly, a: tuple, b: tuple) -> tuple:
+    """a * b in F_p[x]/(base) for residue tuples: the integer product, reduced by FpPoly mod base."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return (FpPoly(base.p, prod) % base).coeffs
+
+
+def fq_add(base: FpPoly, a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """a + sign * b in F_p[x]/(base) for residue tuples."""
+    return FpPoly(base.p, [x + sign * y for x, y in itertools.zip_longest(a, b, fillvalue=0)]).coeffs
+
+
+def fq_poly_mul(base: FpPoly, f: list, g: list) -> list:
+    """The product of two polynomials over F_p[x]/(base), residue coefficients constant first."""
+    out = [()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = fq_add(base, out[i + j], fq_mul(base, a, b))
+    return out
+
+
+def fq_divides(base: FpPoly, h: list, g: list) -> bool:
+    """Monic h divides g over F_p[x]/(base), by schoolbook long division."""
+    rem, d = list(g), len(h) - 1
+    for k in range(len(rem) - 1 - d, -1, -1):
+        c = rem[k + d]
+        if c:
+            for j, b in enumerate(h):
+                rem[k + j] = fq_add(base, rem[k + j], fq_mul(base, c, b), -1)
+    return not any(rem[:d])
+
+
+def is_irreducible_over_fq_by_trial_division(base: FpPoly, g: list) -> bool:
+    """g (nonzero top coefficient) has degree >= 1 and no monic polynomial over F_p[x]/(base) of degree 1 .. deg g // 2 divides it."""
+    for d in range(1, (len(g) - 1) // 2 + 1):
+        residues = [FpPoly(base.p, cs).coeffs for cs in itertools.product(range(base.p), repeat=base.degree)]
+        for low in itertools.product(residues, repeat=d):
+            if fq_divides(base, list(low) + [(1,)], g):
+                return False
+    return len(g) >= 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from monocert import arith, fppoly
 from monocert.fppoly import FpPoly, _padd, _pderiv, _pgcd, _pmod, _pmonic, _ppow_mod, _PrimeField, _pscale, _psub
-from oracles import is_irreducible_by_trial_division
+from oracles import fq_add, fq_poly_mul, is_irreducible_by_trial_division, is_irreducible_over_fq_by_trial_division
 
 
 def P(p, *coeffs):
@@ -235,7 +235,7 @@ class TestSeparability:
 
     @pytest.mark.parametrize("p,d", [(7, 1), (2**31 - 1, 1), (2, 2), (3, 2), (3, 4), (2, 7), (37, 2)])
     def test_fq_is_separable_matches_gcd_oracle(self, p, d):
-        # prime fields, Zech fields (q <= 81) and _ExtField fields, on inputs that include g(y^p) and squares
+        # prime fields and _ExtField fields, on inputs that include g(y^p) and squares
         base = _first_irreducible(p, d)
         K = fppoly._fq_backend(base)
         rng = random.Random(f"sep:{p}:{d}")
@@ -264,7 +264,7 @@ class TestExtensionField:
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (3, 4), (2, 7), (3, 6), (2, 10), (37, 2)])
     def test_inverse_by_field_size(self, p, d):
-        # q = 4, 9 and 81 (fq_factor uses Zech tables), then 128, 729, 1024 and 1369 (_ExtField inverts there)
+        # q = 4, 9, 81, 128, 729, 1024 and 1369
         base = _first_irreducible(p, d)
         K, q = fppoly._ExtField(base), p**d
         rng = random.Random(f"inverse:{p}:{d}")
@@ -281,6 +281,22 @@ class TestExtensionField:
             K.inv((2, 1))
         unit = (1, 1)  # coprime to the base, so still invertible
         assert K.mul(unit, K.inv(unit)) == K.one
+
+    @pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (37, 2)])
+    def test_pdivmod_identity(self, p, d):
+        # monic and non-monic divisors; the product is taken by the oracle's arithmetic, not the engine
+        base = _first_irreducible(p, d)
+        K = fppoly._ExtField(base)
+        rng = random.Random(f"pdivmod:{p}:{d}")
+        for _ in range(30):
+            f = fppoly._trim(K, [K.rand(rng) for _ in range(rng.randint(0, 7))])
+            g = fppoly._trim(K, [K.rand(rng) for _ in range(rng.randint(1, 4))] + [rng.choice([K.one, K.rand(rng)])])
+            if not g:
+                continue
+            quot, rem = K.pdivmod(f, g)
+            assert len(rem) < len(g)
+            prod = fq_poly_mul(base, quot, g)
+            assert fppoly._trim(K, [fq_add(base, a, b) for a, b in zip_longest(prod, rem, fillvalue=())]) == f
 
     def test_pow(self):
         base = self._base()
@@ -330,8 +346,11 @@ class TestExtensionField:
 def _first_irreducible(p, d):
     """The monic irreducible of degree d over F_p whose low coefficients, read in base p, are smallest."""
     for idx in range(p**d):
-        low = list(fppoly._index_coeffs(p, idx))
-        f = FpPoly(p, low + [0] * (d - len(low)) + [1])
+        low = []
+        for _ in range(d):
+            idx, c = divmod(idx, p)
+            low.append(c)
+        f = FpPoly(p, low + [1])
         if fppoly.is_irreducible(f):
             return f
 
@@ -365,9 +384,9 @@ def _fq_test_inputs(K, rng):
 
 
 class TestFlatBackends:
-    """fq_factor on the flat backends against the _ExtField reference."""
+    """fq_factor against trial division over F_q, and on prime fields against the _ExtField engine."""
 
-    # (p, deg phi): q = p, Zech fields up to 81, and 2**7, 2**10 and 37**2 above it
+    # (p, deg phi): q = p, then q = 4 .. 81, 2**7, 2**10 and 37**2
     FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2**31 - 1, 1)]
     FIELDS += [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 7), (2, 10), (37, 2)]
 
@@ -378,19 +397,24 @@ class TestFlatBackends:
         rng = random.Random(f"fq:{p}:{d}")
         for f in _fq_test_inputs(K, rng):
             got = fppoly.fq_factor(base, f)
-            want = fppoly._factor_list(K, list(f), random.Random(0))
-            assert got == tuple((tuple(g), m) for g, m in want)
-            assert _ext_product(K, got) == fppoly._pmonic(K, f)
-            assert all(g[-1] == K.one for g, _ in got)
-            if d >= 2:
-                # the Zech engine itself, also for fields fq_factor leaves to _ExtField
-                Z = fppoly._ZechField(base)
-                zech = fppoly._factor_list(Z, [Z.from_residue(c) for c in f], random.Random(0))
-                assert tuple((tuple(Z.to_residue(c) for c in g), m) for g, m in zech) == got
+            if d == 1:
+                # _PrimeField ran; _ExtField over the linear base is a second engine
+                want = fppoly._factor_list(K, list(f), random.Random(0))
+                assert got == tuple((tuple(g), m) for g, m in want)
+            # the oracle's residue arithmetic is FpPoly division mod base, not the engine
+            prod = [f[-1]]
+            for g, m in got:
+                assert g[-1] == K.one
+                for _ in range(m):
+                    prod = fq_poly_mul(base, prod, list(g))
+                # trial division costs q^(deg g // 2) divisions; above 625 it would dominate the suite
+                if (p**d) ** ((len(g) - 1) // 2) <= 625:
+                    assert is_irreducible_over_fq_by_trial_division(base, list(g)), g
+            assert prod == list(f)
 
     @pytest.mark.parametrize(
         "p,d,backend",
-        [(7, 1, fppoly._PrimeField), (3, 2, fppoly._ZechField), (2, 7, fppoly._ExtField), (37, 2, fppoly._ExtField)],
+        [(7, 1, fppoly._PrimeField), (3, 2, fppoly._ExtField), (2, 7, fppoly._ExtField), (37, 2, fppoly._ExtField)],
     )
     def test_factor_list_independent_of_stream(self, p, d, backend):
         # the random stream picks the splitting path of equal-degree factoring, never the sorted answer
@@ -409,14 +433,15 @@ class TestFlatBackends:
         "p,d,backend",
         [
             (2**31 - 1, 1, "_PrimeField"),
-            (2, 2, "_ZechField"),
-            (3, 4, "_ZechField"),
+            (2, 2, "_ExtField"),
+            (3, 4, "_ExtField"),
             (2, 7, "_ExtField"),
             (2, 10, "_ExtField"),
             (37, 2, "_ExtField"),
         ],
     )
     def test_backend_by_order(self, p, d, backend):
+        # the backend follows deg phi alone: _PrimeField for a linear base, _ExtField for any q above
         base = _first_irreducible(p, d)
         assert type(fppoly._fq_backend(base)).__name__ == backend
 
@@ -440,33 +465,13 @@ class TestFlatBackends:
                 fppoly.fq_factor(base, [(1,), (1,)])
                 fppoly.fq_is_separable(base, [(1,), (1,)])
 
-    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 4), (2, 10)])
-    def test_zech_tables(self, p, d):
-        base = _first_irreducible(p, d)
-        K = fppoly._ZechField(base)
-        q = p**d
-        assert len(K.exp) == len(K.zech) == q - 1 and len(K.log) == q
-        # exp and log are inverse bijections between logs 0..q-2 and nonzero residues
-        assert sorted(K.exp) == list(range(1, q))
-        assert K.log[0] == -1
-        assert all(K.log[K.exp[k]] == k for k in range(q - 1))
-        # exp walks the powers of one generator, checked with the reference backend's arithmetic
-        R = fppoly._ExtField(base)
-        g, power = K.to_residue(1), R.one
-        for k in range(q - 1):
-            assert K.to_residue(k) == power
-            assert K.from_residue(power) == k
-            assert K.zech[k] == K.from_residue(R.add(R.one, power))  # zech[d] = log(1 + g^d)
-            power = R.mul(power, g)
-        assert power == R.one
-
 
 _CACHED = (fppoly.factor, fppoly.fq_factor)
 
 
 @st.composite
 def _fq_inputs(draw):
-    """(base, residue coefficients) over F_p[x]/(base) for q from 2 to 2**7, beyond the Zech bound."""
+    """(base, residue coefficients) over F_p[x]/(base) for q from 2 to 2**7."""
     p, d = draw(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 7)]))
     base = _first_irreducible(p, d)
     residue = st.lists(st.integers(0, p - 1), max_size=d).map(lambda cs: FpPoly(p, cs).coeffs)

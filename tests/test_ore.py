@@ -40,6 +40,31 @@ class TestOreSplit:
         assert sorted(s.f for s in split.slots) == degs
         assert all(s.e == 1 for s in split.slots)
 
+    def test_lift_dividing_F_moves_by_p(self):
+        # x^3 + 5 is irreducible mod 7 and is its own [0, 7) lift, whose polygon is unbounded;
+        # the next lift, x^3 + 12, shows 7 inert
+        split = ore.ore_split(IntPoly.binomial(3, -5), 7)
+        assert split.exact and split.index_valuation == 0
+        assert [(s.phi.coeffs, s.e, s.f) for s in split.slots] == [((12, 0, 0, 1), 1, 3)]
+
+    def test_dedekind_where_squarefree_mod_p(self):
+        # Dedekind's criterion: with F mod p squarefree, p does not divide the index and each
+        # factor g of F mod p is one prime with e = 1, f = deg g; inert F = lift included
+        cases = moved = 0
+        for n in range(2, 31):
+            for m in range(-40, 41):
+                F = IntPoly.binomial(n, m)
+                for p in (2, 3, 5, 7):
+                    factors = fppoly.factor(F.reduce_mod(p)).factors
+                    if any(mult > 1 for _, mult in factors):
+                        continue
+                    split = ore.ore_split(F, p)
+                    assert split.exact and split.index_valuation == 0, (n, m, p)
+                    assert sorted((s.e, s.f) for s in split.slots) == sorted((1, g.degree) for g, _ in factors), (n, m, p)
+                    cases += 1
+                    moved += any(s.phi != IntPoly.lift(s.phi.reduce_mod(p)) for s in split.slots)
+        assert (cases, moved) == (4808, 215)
+
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError, match="monic"):
             ore.ore_split(IntPoly([1, 2]), 3)

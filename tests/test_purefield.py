@@ -761,3 +761,22 @@ class TestAnalyze:
         v = purefield.analyze(65, 2)
         assert v.status == "inconclusive"
         assert v.notes[-1] == "degree 65 exceeds the direct-split budget 64"
+
+    def test_regularity_notes_above_budget(self):
+        # a split at p | m is irregular only when p | gcd(n, nu_p(m)); that needs no Ore split,
+        # so the note is kept above the degree budget as it is below it
+        assert purefield.analyze(68, 12).notes == (
+            "no squarefree power decomposition matches the generator construction",
+            "splitting-count criterion did not fire",
+            "p=2: splitting not p-regular; only an index lower bound is known",
+            "degree 68 exceeds the direct-split budget 64",
+        )
+        assert "p=2: splitting not p-regular; only an index lower bound is known" in purefield.analyze(64, 12).notes
+        # 5 | gcd(70, 5) and 7 | gcd(70, 7); 17 does not divide gcd(68, 2), nor 2 gcd(68, 1)
+        assert purefield.analyze(70, 5**5 * 7**7).notes[2:] == (
+            "p=2: no common index divisor",
+            "p=5: splitting not p-regular; only an index lower bound is known",
+            "p=7: splitting not p-regular; only an index lower bound is known",
+            "degree 70 exceeds the direct-split budget 64",
+        )
+        assert not any("p-regular" in note for note in purefield.analyze(68, 17**2 * 2).notes)
