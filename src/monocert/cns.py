@@ -2,7 +2,9 @@
 
 The base is a root theta of a monic integer polynomial G with |G(0)| >= 2;
 digits are residues of the constant coordinate.  Encoding is backward
-division: subtract a digit, divide by theta, repeat until zero.  Nothing here
+division: subtract a digit, divide by theta, repeat until zero.  Decoding
+reads the element of d_0 d_1 ... d_k as the remainder of sum d_i x^i mod G,
+in one pass of division from the top digit down.  Nothing here
 assumes the system is canonical -- non-terminating orbits are detected and
 reported with a cycle witness, and uniqueness is only ever claimed after an
 exhaustive check.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import arith, purefield
@@ -68,16 +71,6 @@ class CnsBasis:
             return range(0, b)
         return range(-(b - 1), b)
 
-    def select_digit(self, z0: int) -> int:
-        b = self.digit_base
-        r = z0 % b
-        if self.digit_mode == "standard":
-            return r
-        return r if 2 * r <= b else r - b
-
-    def zero_element(self) -> Element:
-        return (0,) * self.degree
-
     def validate_element(self, z) -> Element:
         z = tuple(int(c) for c in z)
         if len(z) != self.degree:
@@ -116,47 +109,54 @@ def encode(basis: CnsBasis, z, step_cap: int | None = None) -> DigitExpansion:
         step_cap = basis.default_step_cap(max((abs(c) for c in z), default=0))
     if step_cap <= 0:
         raise ValueError("step_cap must be positive")
-    zero = basis.zero_element()
-    if z == zero:
+    if not any(z):
         return DigitExpansion((0,), True, None, 0)
-    c = basis.G.coeffs
-    c0 = c[0]
-    n = basis.degree
+    c0, *tail, _ = basis.G.coeffs
+    b = abs(c0)
+    # residues above the threshold become negative digits: none in standard mode
+    top = b if basis.digit_mode == "standard" else b // 2
     digits: list[int] = []
     seen = {z}
     state = z
     while len(digits) < step_cap:
-        d = basis.select_digit(state[0])
-        q, rem = divmod(state[0] - d, c0)
+        z0 = state[0]
+        d = z0 % b
+        if d > top:
+            d -= b
+        q, rem = divmod(z0 - d, c0)
         assert rem == 0
         digits.append(d)
-        state = tuple(state[i + 1] - c[i + 1] * q for i in range(n - 1)) + (-q,)
-        if state == zero:
+        state = (*[s - k * q for s, k in zip(state[1:], tail)], -q)
+        if not any(state):
             return DigitExpansion(tuple(digits), True, None, len(digits))
-        if state in seen:
-            return DigitExpansion(tuple(digits), False, state, len(digits))
         seen.add(state)
+        # one new state per step: a set that did not grow has seen this one
+        if len(seen) == len(digits):
+            return DigitExpansion(tuple(digits), False, state, len(digits))
     return DigitExpansion(tuple(digits), False, None, len(digits))
 
 
 def decode(basis: CnsBasis, digits) -> Element:
-    """Exact Horner evaluation of a digit string in the quotient ring."""
-    digits = [int(d) for d in digits]
-    if not digits:
+    """The element of a digit string: the remainder of sum d_i x^i mod G.
+
+    One top-down pass of division by the monic G; each digit costs one
+    product per nonzero coefficient of G below the top.
+    """
+    r = [int(d) for d in digits]
+    if not r:
         raise ValueError("empty digit string")
     allowed = basis.digit_set()
-    for d in digits:
-        if d not in allowed:
-            raise ValueError(f"digit {d} outside the {basis.digit_mode} digit set")
-    c = basis.G.coeffs
+    if min(r) < allowed.start or max(r) >= allowed.stop:
+        bad = next(d for d in r if d not in allowed)
+        raise ValueError(f"digit {bad} outside the {basis.digit_mode} digit set")
     n = basis.degree
-    coords = [0] * n
-    for d in reversed(digits):
-        lead = coords[n - 1]
-        shifted = [-lead * c[0]] + [coords[i - 1] - lead * c[i] for i in range(1, n)]
-        shifted[0] += d
-        coords = shifted
-    return tuple(coords)
+    low = [(j - n, c) for j, c in enumerate(basis.G.coeffs[:-1]) if c]
+    for i in range(len(r) - 1, n - 1, -1):
+        lead = r[i]
+        if lead:
+            for j, c in low:
+                r[i + j] -= lead * c
+    return tuple(r[:n]) + (0,) * (n - len(r))
 
 
 @dataclass(frozen=True)
@@ -200,18 +200,26 @@ def _signed_redundancy(basis: CnsBasis) -> tuple[int, int]:
     while total * width <= _SIGNED_ENUM_BUDGET:
         length += 1
         total *= width
-    seen: dict[Element, int] = {decode(basis, (0,)): 1}
+    zero = decode(basis, (0,))
+    seen: dict[Element, int] = {zero: 1}
     multi = 0
+    # elements of the strings of length l - 1, in itertools.product order
+    level = [zero]
     for l in range(1, length + 1):
-        for tail in itertools.product(digits, repeat=l - 1):
-            for last in digits:
-                if last == 0:
-                    continue
-                element = decode(basis, tail + (last,))
-                count = seen.get(element, 0) + 1
-                seen[element] = count
-                if count == 2:
-                    multi += 1
+        # the element of tail + (last,) is the element of tail plus last * theta^(l-1)
+        power = decode(basis, (0,) * (l - 1) + (1,))
+        steps = [(last, tuple(last * p for p in power)) for last in digits]
+        longer = []
+        for tail in level:
+            for last, step in steps:
+                element = tuple(map(operator.add, tail, step))
+                longer.append(element)
+                if last:
+                    count = seen.get(element, 0) + 1
+                    seen[element] = count
+                    if count == 2:
+                        multi += 1
+        level = longer
     return length, multi
 
 

@@ -9,7 +9,9 @@ through IntPoly, every IntPoly the engine builds unchecked against the
 public constructor, the irreducibility test of x^n - m against the rule
 that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
 against trial division, the latter with its residue arithmetic done by
-FpPoly division mod base rather than by the factoring engine.
+FpPoly division mod base rather than by the factoring engine.  CNS digit
+strings are decoded by Horner's rule and encoded one backward-division step
+at a time, on the coefficient tuple of G alone.
 """
 
 import itertools
@@ -198,3 +200,45 @@ def is_irreducible_over_fq_by_trial_division(base: FpPoly, g: list) -> bool:
             if fq_divides(base, list(low) + [(1,)], g):
                 return False
     return len(g) >= 2
+
+
+def cns_decode_by_horner(coeffs: tuple[int, ...], mode: str, digits) -> tuple[int, ...]:
+    """sum d_i theta^i in Z[x]/(G) for monic G = coeffs, by Horner's rule; the first digit outside the set raises."""
+    b = abs(coeffs[0])
+    allowed = range(0, b) if mode == "standard" else range(-(b - 1), b)
+    for d in digits:
+        if d not in allowed:
+            raise ValueError(f"digit {d} outside the {mode} digit set")
+    n = len(coeffs) - 1
+    z = [0] * n
+    for d in reversed(digits):
+        lead = z[-1]
+        z = [d - lead * coeffs[0]] + [z[i - 1] - lead * coeffs[i] for i in range(1, n)]
+    return tuple(z)
+
+
+def cns_encode_by_steps(coeffs: tuple[int, ...], mode: str, z: tuple[int, ...], step_cap: int | None):
+    """(digits, terminated, cycle_witness, steps) of backward division from z, one step at a time.
+
+    The digit is the residue of the constant coordinate mod b = |G(0)|, moved
+    to r - b in signed mode when 2r > b.  A cap of None is the default
+    10 (radius + 1) n log2(b) + 64 steps, radius the largest |coordinate|.
+    """
+    n, b = len(coeffs) - 1, abs(coeffs[0])
+    if step_cap is None:
+        step_cap = int(10 * (max(map(abs, z)) + 1) * n * math.log2(b)) + 64
+    if not any(z):
+        return (0,), True, None, 0
+    digits, seen, state = [], {z}, z
+    while len(digits) < step_cap:
+        r = state[0] % b
+        d = r if mode == "standard" or 2 * r <= b else r - b
+        q = (state[0] - d) // coeffs[0]
+        digits.append(d)
+        state = tuple(state[i + 1] - coeffs[i + 1] * q for i in range(n - 1)) + (-q,)
+        if not any(state):
+            return tuple(digits), True, None, len(digits)
+        if state in seen:
+            return tuple(digits), False, state, len(digits)
+        seen.add(state)
+    return tuple(digits), False, None, len(digits)

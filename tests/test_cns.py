@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from monocert import cns
 from monocert.cns import CnsBasis, decode, encode, kovacs_hypothesis, verify_box
 from monocert.polygon import IntPoly
+from oracles import cns_decode_by_horner, cns_encode_by_steps
 
 TWIN = IntPoly([2, 2, 1])  # x^2 + 2x + 2, a classical base
 SQRT2 = IntPoly([-2, 0, 1])  # x^2 - 2, not canonical
@@ -21,8 +22,9 @@ class TestCnsBasis:
         assert list(s.digit_set()) == [-1, 0, 1]
 
     def test_balanced_selection(self):
+        # residues above b // 2 become negative digits; a tie 2r = b stays positive
         s = CnsBasis(IntPoly([5, 1, 1, 1]), "signed")
-        assert [s.select_digit(z) for z in range(-3, 4)] == [2, -2, -1, 0, 1, 2, -2]
+        assert [encode(s, (z, 0, 0), 1).digits[0] for z in range(-3, 4)] == [2, -2, -1, 0, 1, 2, -2]
 
     def test_rejects_bad_polynomials(self):
         with pytest.raises(ValueError, match="monic"):
@@ -109,6 +111,61 @@ class TestEncodeDecode:
         assert encode(basis, (7, -3)) == encode(basis, (7, -3))
 
 
+def _oracle_bases() -> list[tuple[int, ...]]:
+    """The digits benchmark's bases (x^2+2x+2, chain cubics, generator binomials) and five others."""
+    chains = [(a0, a1, a2, 1) for a0 in (2, 3, 4) for a1 in range(1, a0 + 1) for a2 in range(1, a1 + 1)]
+    binomials = [
+        (-a,) + (0,) * (n - 1) + (1,)
+        for n, a in ((3, 6), (3, 15), (3, 30), (4, 6), (4, 10), (4, 14), (5, 10), (6, 6), (6, 30))
+    ]
+    # x^2 - 2 (cycles), x + 3 and x - 2 (degree 1), x^3 - 2x^2 + 3x - 5, x^4 - 2x + 2
+    others = [(-2, 0, 1), (3, 1), (-2, 1), (-5, 3, -2, 1), (2, -2, 0, 0, 1)]
+    out = []
+    for coeffs in [(2, 2, 1)] + chains + binomials + others:
+        try:
+            CnsBasis(IntPoly(coeffs))
+        except ValueError:  # a chain cubic with a rational root
+            continue
+        out.append(coeffs)
+    return out
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("coeffs", _oracle_bases())
+    @pytest.mark.parametrize("mode", ["standard", "signed"])
+    def test_encode_decode_match_oracle(self, coeffs, mode):
+        basis = CnsBasis(IntPoly(coeffs), mode)
+        n = len(coeffs) - 1
+        radius = 3 if n <= 3 else 1
+        for cap in (None, 1, 5):
+            for z in itertools.product(range(-radius, radius + 1), repeat=n):
+                exp = encode(basis, z, cap)
+                got = (exp.digits, exp.terminated, exp.cycle_witness, exp.steps)
+                assert got == cns_encode_by_steps(coeffs, mode, z, cap), (z, cap)
+                assert decode(basis, exp.digits) == cns_decode_by_horner(coeffs, mode, exp.digits)
+
+    def test_grid_reaches_every_outcome(self):
+        # termination, a cycle witness, and a cap reached with no witness, at the default cap and at 5
+        seen = set()
+        for coeffs in _oracle_bases():
+            for mode in ("standard", "signed"):
+                basis = CnsBasis(IntPoly(coeffs), mode)
+                for z in itertools.product(range(-1, 2), repeat=len(coeffs) - 1):
+                    for cap in (None, 5):
+                        exp = encode(basis, z, cap)
+                        seen.add((cap, exp.terminated, exp.cycle_witness is None))
+        assert {(None, True, True), (None, False, False), (5, False, True), (5, False, False)} <= seen
+
+    @pytest.mark.parametrize("mode, digits", [("standard", [1, 0, 7, 1, 9]), ("signed", [1, -1, 0, -5, 2, 6])])
+    def test_bad_digit_error_matches_oracle(self, mode, digits):
+        coeffs = (-5, 0, 0, 1)
+        with pytest.raises(ValueError) as ours:
+            decode(CnsBasis(IntPoly(coeffs), mode), digits)
+        with pytest.raises(ValueError) as theirs:
+            cns_decode_by_horner(coeffs, mode, digits)
+        assert str(ours.value) == str(theirs.value)
+
+
 class TestVerifyBox:
     def test_classical_base_radius_10(self):
         report = verify_box(CnsBasis(TWIN), 10)
@@ -132,8 +189,20 @@ class TestVerifyBox:
 
     def test_signed_mode_measures_redundancy(self):
         report = verify_box(CnsBasis(TWIN, "signed"), 2)
-        assert report.signed_enum_length is not None
-        assert report.signed_multiple_expansions > 0  # -1 has two expansions already
+        # -1 already has two expansions; the counts are pinned as measured
+        assert (report.signed_enum_length, report.signed_multiple_expansions) == (11, 11310)
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((-6, 0, 0, 1), (5, 50600)),
+            ((3, 2, 2, 1), (7, 17032)),
+            ((-2, 0, 1), (11, 7858)),
+            ((-10, 0, 0, 0, 0, 1), (4, 0)),
+        ],
+    )
+    def test_signed_redundancy_counts(self, coeffs, expected):
+        assert cns._signed_redundancy(CnsBasis(IntPoly(coeffs), "signed")) == expected
 
 
 class TestKovacs:
