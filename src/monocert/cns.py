@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 
 from . import arith, purefield
-from .polygon import IntPoly
+from .polygon import IntPoly, _divide_in_place, _integers
 
 Element = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class CnsBasis:
         return range(-(b - 1), b)
 
     def validate_element(self, z) -> Element:
-        z = tuple(int(c) for c in z)
+        z = tuple(_integers(z))
         if len(z) != self.degree:
             raise ValueError(f"element needs exactly {self.degree} coordinates")
         return z
@@ -139,10 +139,10 @@ def encode(basis: CnsBasis, z, step_cap: int | None = None) -> DigitExpansion:
 def decode(basis: CnsBasis, digits) -> Element:
     """The element of a digit string: the remainder of sum d_i x^i mod G.
 
-    One top-down pass of division by the monic G; each digit costs one
-    product per nonzero coefficient of G below the top.
+    One top-down pass of division by the monic G (`_divide_in_place`); each
+    digit costs one product per nonzero coefficient of G below the top.
     """
-    r = [int(d) for d in digits]
+    r = _integers(digits)
     if not r:
         raise ValueError("empty digit string")
     allowed = basis.digit_set()
@@ -150,12 +150,7 @@ def decode(basis: CnsBasis, digits) -> Element:
         bad = next(d for d in r if d not in allowed)
         raise ValueError(f"digit {bad} outside the {basis.digit_mode} digit set")
     n = basis.degree
-    low = [(j - n, c) for j, c in enumerate(basis.G.coeffs[:-1]) if c]
-    for i in range(len(r) - 1, n - 1, -1):
-        lead = r[i]
-        if lead:
-            for j, c in low:
-                r[i + j] -= lead * c
+    _divide_in_place(r, basis.G.coeffs)
     return tuple(r[:n]) + (0,) * (n - len(r))
 
 

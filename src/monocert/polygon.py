@@ -7,6 +7,7 @@ integer cross products, slopes are Fractions in lowest terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,7 +26,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", tuple(_trimmed([int(c) for c in coeffs])))
+        object.__setattr__(self, "coeffs", tuple(_trimmed(_integers(coeffs))))
 
     def __setattr__(self, *a):
         raise AttributeError("IntPoly is immutable")
@@ -140,6 +141,17 @@ class IntPoly:
 def _content_valuation(a: IntPoly, p: int) -> int:
     """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked."""
     return min(arith._valuation(p, c) for c in a.coeffs if c)
+
+
+def _integers(values: Iterable) -> list[int]:
+    """values as a list of ints; a value that is no integer (a float, a string) raises a ValueError naming it."""
+    out = []
+    for v in values:
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"{v!r} is not an integer") from None
+    return out
 
 
 def _trimmed(cs: list[int]) -> list[int]:

@@ -2,11 +2,14 @@
 
 Three independent certificate routes:
 
-* a closed-form principal polygon for x^n - m at odd primes p | n with p
-  coprime to u*m (n = u*p^r), driving the splitting-count non-monogenity
-  criterion without ever expanding the polynomial: the correction term R is
-  kept mod phi throughout, so no polynomial it forms reaches degree
-  max(u, 2 deg phi);
+* a closed-form count of the primes above every p | n coprime to m
+  (n = u*p^r): over each degree-f factor of x^u - m mod p, their
+  ramification indices and residue degrees depend only on p, r, f and
+  nu_p(m^(p-1) - 1) (`_local_primes`), so one integer loop
+  (`_count_witness`) finds a degree with more primes than F_p has monic
+  irreducibles.  It drives the splitting-count criterion at odd p and the
+  common-index-divisor test at p = 2, and never builds a polynomial of
+  degree n;
 * an explicit generator construction for m = a^u (a squarefree, u coprime to
   n, every prime of n dividing a) whose index is verified prime by prime;
   `construct_generator` alone decides those hypotheses, and `analyze` reaches
@@ -15,12 +18,12 @@ Three independent certificate routes:
   candidate primes.
 
 The direct route runs Ore splitting only at odd primes p not dividing m, and
-only up to degree 64.  At p = 2 with m odd the primes above 2 follow from
-(nu_2(m - 1), the degrees of the factors of x^u - 1 mod 2) in closed form
-(`_two_adic_witness`), so that test runs on integer arithmetic for every n.
-At a prime p | m, x^n - m is x^n mod p, and Ore's data (one side, residual
-polynomial y^g - m/p^k) is known in closed form: the generator self-check and
-the direct route read it there.
+only up to degree 64.  At a prime p | m, x^n - m is x^n mod p, and Ore's
+data (one side, residual polynomial y^g - m/p^k) is known in closed form: the
+generator self-check and the direct route read it there.  The closed-form
+principal polygon at odd p | n coprime to u*m (`closed_form_polygon`) is an
+independent development of x^n - m that never expands it; no verdict rests
+on it.
 
 Verdicts carry every number needed to recheck them from scratch.
 """
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
@@ -292,11 +294,10 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
 def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     """Splitting-count non-monogenity criterion for x^n - m.
 
-    For each odd prime p | n coprime to m (n = u * p^r), the polygon of every
-    irreducible factor of x^u - m mod p contributes min(r+1, nu) primes of
-    residue degree d = deg(factor), nu = nu_p(m^(p-1) - 1).  Whenever those
-    counts beat the number of monic irreducible degree-d polynomials over F_p,
-    p divides the index of every generator.  Returns None when no prime fires;
+    For each odd prime p | n coprime to m, counts the primes above p of each
+    residue degree d in closed form (`_count_witness`).  Whenever a count
+    beats the number of monic irreducible degree-d polynomials over F_p, p
+    divides the index of every generator.  Returns None when no prime fires;
     that is never a monogenity claim.
 
     Runs entirely on integer arithmetic: no polynomial of degree n is built,
@@ -307,101 +308,100 @@ def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     for p in arith.factorize(n).prime_divisors:
         if p == 2 or m % p == 0:
             continue
-        r = arith._valuation(p, n)
-        u = n // p**r
-        effective = arith.nu_stable(p, m, r + 1)
-        for d in range(1, u + 1):
-            pd = p**d
-            # beyond this, N_p(d) >= 2 * effective * (u/d) can never be beaten
-            if pd >= 16 and pd >= 4 * effective * u:
-                break
-            factor_count = fppoly.count_degree_d_factors(p, d, u, m)
-            if factor_count == 0:
-                continue
-            bound = arith.count_irreducibles(p, d)
-            if effective * factor_count > bound:
-                return MonogenityVerdict.not_monogenic(
-                    n,
-                    m,
-                    provenance=f"splitting-count-criterion:p={p}",
-                    p=p,
-                    d=d,
-                    ideal_count=effective * factor_count,
-                    irreducible_count=bound,
-                )
+        witness = _count_witness(n, m, p)
+        if witness is not None:
+            return MonogenityVerdict.not_monogenic(n, m, f"splitting-count-criterion:p={p}", p, *witness)
     return None
 
 
-def _two_adic_primes(r: int, f: int, m: int) -> list[tuple[int, int]]:
-    """(e, residue degree) of the primes above 2 over one factor of x^u - 1 mod 2.
+def _local_primes(p: int, r: int, f: int, nu: int) -> list[tuple[int, int]]:
+    """(e, residue degree) of the primes above p over one degree-f factor of x^u - m mod p.
 
-    The field is that of x^n - m with n = 2^r * u, r >= 1, u and m odd, and
-    the factor phi has degree f.  With nu = nu_2(m - 1), capped at r + 2:
-    nu = 1 gives one prime with e = 2^r; otherwise, with k = min(nu - 1, r),
-    there is one prime with e = 2^(r-i) for each i = 1 .. k-1, and at the
-    bottom two primes with e = 2^(r-k) when f is even or nu - 1 > r, else
-    one with e = 2^(r-k) and residue degree 2f.  Every other residue degree
-    is f.
+    The field is that of x^n - m with n = p^r * u, r >= 1 and p not dividing
+    u * m, and nu = nu_p(m^(p-1) - 1) >= 1 capped at r + 2 (at p = 2 that is
+    nu_2(m - 1)).  With k = min(nu - 1, r) there is one prime with
+    e = p^(r-i) * (p-1) for each i = 1 .. k and one with e = p^(r-k), all of
+    residue degree f; but at p = 2 with f odd and 2 <= nu <= r + 1 the last
+    two (both with e = 2^(r-k)) are one prime of residue degree 2f.
 
-    Why: x^u - m is separable mod 2, so Hensel lifts phi to Z_2; its root
-    beta generates the unramified extension E of degree f, and the primes
-    over phi are the factors of x^(2^r) - beta over E (e kept, residue
-    degree times f).  As u is odd, u-th powers permute
-    Z_2^x = {+-1} x (1 + 4 Z_2), so m = mu^u for a unit mu in Z_2 and
-    beta = zeta * mu with zeta^u = 1.  zeta has odd order, so it is a 2^r-th
-    power in E, and x -> x * zeta^(1/2^r) turns x^(2^r) - beta into
-    x^(2^r) - mu; nu_2(mu - 1) = nu_2(m - 1), as (m - 1)/(mu - 1) is a sum of
-    u odd terms.
+    Why: x^u - m is separable mod p, so Hensel lifts the factor phi to Z_p;
+    its root beta generates the unramified extension E of degree f, and the
+    primes over phi are the factors of x^(p^r) - beta over E (e kept, residue
+    degree times f).  Write m = w * m1 with w a (p-1)-th root of unity and
+    m1 in 1 + p Z_p (w = 1 at p = 2).  As u is prime to p, u-th powers
+    permute 1 + p Z_p, so m1 = mu^u with mu in 1 + p Z_p, and
+    beta = zeta * mu with zeta^u = w, a root of unity of order prime to p.
+    Such a zeta is a p^r-th power in E, and x -> x * zeta^(1/p^r) turns
+    x^(p^r) - beta into x^(p^r) - mu.  nu_p(mu - 1) = nu_p(m1 - 1), as
+    (m1 - 1)/(mu - 1) = 1 + mu + ... + mu^(u-1) = u mod p is a unit, and
+    nu_p(m1 - 1) = nu_p(m1^(p-1) - 1) = nu_p(m^(p-1) - 1) the same way.
 
-    For a unit s with nu_2(s - 1) = 1, (x + 1)^(2^j) - s is Eisenstein, so
-    x^(2^j) - s is one prime with e = 2^j: that is the case nu = 1.  While
-    nu >= 3, mu = s^2 with s = 1 mod 4 in Z_2, nu_2(s - 1) = nu - 1 and
-    nu_2(-s - 1) = 1, so x^(2^r) - mu = (x^(2^(r-1)) - s)(x^(2^(r-1)) + s)
-    peels off one prime with e = 2^(r-1) and leaves x^(2^(r-1)) - s.  After
-    k - 1 peels the rest is x^(2^j) - mu', j = r - k + 1.  If nu - 1 > r,
-    then j = 1 and nu_2(mu' - 1) >= 3, so x^2 - mu' splits over Z_2 into two
-    primes with e = 1.  Otherwise mu' = 1 + 4a with a odd, and
-    mu' = (1 + 2t)^2 needs t^2 + t = a: mu' is a square in E iff
-    y^2 + y + 1 has a root in F_(2^f) (Hensel), that is iff f is even.  Its
-    root s' = 1 + 2t then has t and 1 + t units, so s' - 1 and -s' - 1 have
-    valuation 1 and x^(2^(j-1)) -+ s' are two primes with e = 2^(j-1).  If
-    f is odd these two factors live over the unramified quadratic extension
-    of E and are conjugate: one prime of residue degree 2f.  This is the
-    true split, so the count is exact; `ore_split` agrees with it in the
-    tests.
+    For a unit s with nu_p(s - 1) = 1 over E (or over a ramified extension
+    of E where s - 1 is a uniformizer), (x + 1)^(p^j) - s is Eisenstein, so
+    x^(p^j) - s is one prime with e = p^j: that is the case nu = 1.  A peel:
+    when mu = s^p with nu_p(s - 1) = nu - 1 >= 1 (every nu >= 2 at odd p;
+    nu >= 3 at p = 2, with s = 1 mod 4), x^(p^r) - mu is
+    (x^(p^(r-1)) - s) times the product of x^(p^(r-1)) - z * s over the
+    p-th roots of unity z != 1.  Over E(z), totally ramified of degree
+    p - 1, z * s - 1 = z(s - 1) + (z - 1) is a uniformizer, as
+    nu_p(z - 1) = 1/(p - 1) < nu_p(s - 1); so a root of that product
+    generates an extension of E with e = p^(r-1) * (p-1), its degree, and
+    the product is one prime.  x^(p^(r-1)) - s is left.  At odd p,
+    k peels leave x^(p^(r-k)) - mu' with nu_p(mu' - 1) = nu - k, which is
+    1 or else k = r: one prime with e = p^(r-k).
+
+    At p = 2 the peels stop at nu_2 = 2: after k - 1 of them the rest is
+    x^(2^j) - mu', j = r - k + 1.  If nu - 1 > r, then j = 1 and
+    nu_2(mu' - 1) >= 3, so x^2 - mu' splits over Z_2 into two primes with
+    e = 1.  Otherwise mu' = 1 + 4a with a odd, and mu' = (1 + 2t)^2 needs
+    t^2 + t = a: mu' is a square in E iff y^2 + y + 1 has a root in
+    F_(2^f) (Hensel), that is iff f is even.  Its root s' = 1 + 2t then has
+    t and 1 + t units, so s' - 1 and -s' - 1 have valuation 1 and
+    x^(2^(j-1)) -+ s' are two primes with e = 2^(j-1).  If f is odd these
+    two factors live over the unramified quadratic extension of E and are
+    conjugate: one prime of residue degree 2f.  This is the true split, so
+    the count is exact; `ore_split` agrees with it in the tests.
     """
-    nu = min(r + 2, ((m - 1) & (1 - m)).bit_length() - 1)
-    if nu == 1:
-        return [(2**r, f)]
     k = min(nu - 1, r)
-    primes = [(2 ** (r - i), f) for i in range(1, k)]
-    if f % 2 == 0 or nu - 1 > r:
-        return primes + [(2 ** (r - k), f)] * 2
-    return primes + [(2 ** (r - k), 2 * f)]
+    primes = [(p ** (r - i) * (p - 1), f) for i in range(1, k + 1)] + [(p ** (r - k), f)]
+    if p == 2 and f % 2 == 1 and 2 <= nu <= r + 1:
+        return primes[:-2] + [(2 ** (r - k), 2 * f)]
+    return primes
 
 
-def _two_adic_witness(n: int, m: int) -> tuple[int, int, int] | None:
-    """(d, primes of residue degree d above 2, N_2(d)) for the smallest d with more primes, or None.
+def _count_witness(n: int, m: int, p: int) -> tuple[int, int, int] | None:
+    """(d, primes of residue degree d above p, N_p(d)) for the smallest d with more primes, or None.
 
-    Needs n even and m odd.  The count is that of `_two_adic_primes`, with
-    `fppoly.count_degree_d_factors(2, f, u, m)` factors phi of degree f, so
-    no polynomial is built and n may be huge.  The loop over d stops once
-    2^(d-1) >= (r + 3) * u: at most u/d factors have degree d and each gives
-    at most k + 1 <= r + 1 primes of degree d, and at most 2u/d have degree
-    d/2 and give one each, so degree d has at most (r + 3) * u / d primes,
-    while d * N_2(d) >= 2^d - (2^(floor(d/2) + 1) - 2) >= 2^(d-1).
+    Needs p | n and p not dividing m.  The count is that of `_local_primes`,
+    with `fppoly.count_degree_d_factors(p, f, u, m)` factors of degree f, so
+    no polynomial is built and n may be huge.  With k = min(nu - 1, r) and
+    c = k + 1 at odd p, c = k + 3 at p = 2, the loop over d stops once
+    p^d >= 2 * c * u (at p = 2 that is 2^(d-1) >= (k + 3) * u).  Why: at
+    most u/d factors have degree d and each gives at most k + 1 primes of
+    degree d, and (at p = 2 only) at most 2u/d have degree d/2 and give one
+    each, so degree d has at most c * u / d primes, while
+    d * N_p(d) >= p^d - (p^(floor(d/2) + 1) - p)/(p - 1) >= p^d / 2 for every
+    p and d >= 1.  So from that d on, N_p(d) >= c * u / d is never beaten.
     """
-    r = (n & -n).bit_length() - 1
-    u = n >> r
-    counts: Counter[int] = Counter()
+    r = arith._valuation(p, n)
+    u = n // p**r
+    nu = 0
+    while nu < r + 2 and pow(m, p - 1, p ** (nu + 1)) == 1:
+        nu += 1
+    k = min(nu - 1, r)
+    cutoff = 2 * (k + 3 if p == 2 else k + 1) * u
+    counts: dict[int, int] = {}
     d = 1
-    while 2 ** (d - 1) < (r + 3) * u:
-        factor_count = fppoly.count_degree_d_factors(2, d, u, m)
-        for _, degree in _two_adic_primes(r, d, m):
-            counts[degree] += factor_count
-        bound = arith.count_irreducibles(2, d)
-        if counts[d] > bound:
-            return d, counts[d], bound
+    while p**d < cutoff:
+        factor_count = fppoly.count_degree_d_factors(p, d, u, m)
+        if factor_count:
+            for _, f in _local_primes(p, r, d, nu):
+                counts[f] = counts.get(f, 0) + factor_count
+        count = counts.get(d, 0)
+        if count:
+            bound = arith.count_irreducibles(p, d)
+            if count > bound:
+                return d, count, bound
         d += 1
     return None
 
@@ -578,17 +578,17 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     factored once, by `construct_generator`, and a GeneratorHypothesisError
     falls through to the next route, any other error surfaces); then the
     splitting-count criterion; then the common-index-divisor test at p = 2
-    for n even and m odd, for every n, by the closed-form prime count of
-    `_two_adic_witness`; then, for n up to _SPLIT_DEGREE_BUDGET = 64, the
-    same test by direct splits at every other prime of n*m below n.
-    Otherwise an honest Inconclusive: monogenity is claimed only through the
-    verified construction.
+    for n even and m odd, for every n, by the same closed-form prime count
+    (`_count_witness`); then, for n up to _SPLIT_DEGREE_BUDGET = 64, the
+    same test by direct splits at every other odd prime of n below n that
+    does not divide m.  Otherwise an honest Inconclusive: monogenity is
+    claimed only through the verified construction.
 
-    The direct route answers a prime p | m in closed form (`_pure_split`) and
-    only records whether the split is p-regular: an exact split there is never
-    a witness, as the roots of y^g - m/p^k are nonzero, so at most p - 1
-    primes have residue degree 1 and at most N_p(f) any degree f >= 2.  That
-    record needs no polynomial arithmetic, so it is kept above the budget too.
+    A prime p | m is answered in closed form (`_pure_split`), at every
+    degree, and only records whether the split is p-regular: an exact split
+    there is never a witness, as the roots of y^g - m/p^k are nonzero, so at
+    most p - 1 primes have residue degree 1 and at most N_p(f) any degree
+    f >= 2.
     """
     _check_field(n, m)
     notes: list[str] = []
@@ -605,29 +605,16 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     notes.append("splitting-count criterion did not fire")
     two_adic = n % 2 == 0 and m % 2 == 1
     if two_adic:
-        witness = _two_adic_witness(n, m)
+        witness = _count_witness(n, m, 2)
         if witness is not None:
-            d, ideal_count, bound = witness
-            return MonogenityVerdict.not_monogenic(
-                n,
-                m,
-                provenance="common-index-divisor:p=2",
-                p=2,
-                d=d,
-                ideal_count=ideal_count,
-                irreducible_count=bound,
-            )
+            return MonogenityVerdict.not_monogenic(n, m, "common-index-divisor:p=2", 2, *witness)
     irregular = "p={}: splitting not p-regular; only an index lower bound is known"
     if n <= _SPLIT_DEGREE_BUDGET:
         F = IntPoly.binomial(n, m)
         candidates = [p for p in range(2, n) if n * m % p == 0 and arith.is_prime(p)]
         for p in candidates:
-            if m % p == 0:
-                if not _pure_split(n, m, p)[0]:
-                    notes.append(irregular.format(p))
-                continue
-            if p == 2:
-                continue  # counted above
+            if p == 2 or m % p == 0:
+                continue  # counted above, or read in closed form below
             try:
                 witness = ore.common_index_divisor(F, p)
             except ore.NotPRegular:
@@ -643,13 +630,15 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
                     ideal_count=witness.ideal_count,
                     irreducible_count=witness.irreducible_count,
                 )
+    elif two_adic:
+        notes.append("p=2: no common index divisor")
+    # irregular at p | m needs p | gcd(n, nu_p(m)), so p <= nu_p(m) < bit_length(|m|)
+    g = math.gcd(n, m)
+    for p in range(2, min(g, abs(m).bit_length()) + 1):
+        if g % p == 0 and arith.is_prime(p) and not _pure_split(n, m, p)[0]:
+            notes.append(irregular.format(p))
+    if n <= _SPLIT_DEGREE_BUDGET:
         notes.append(f"no common index divisor among primes {candidates}")
     else:
-        if two_adic:
-            notes.append("p=2: no common index divisor")
-        # irregular at p | m needs p | gcd(n, nu_p(m)), so p <= nu_p(m) < bit_length(|m|)
-        for p in range(2, min(n, abs(m).bit_length() + 1)):
-            if n % p == 0 and m % p == 0 and arith.is_prime(p) and not _pure_split(n, m, p)[0]:
-                notes.append(irregular.format(p))
         notes.append(f"degree {n} exceeds the direct-split budget {_SPLIT_DEGREE_BUDGET}")
     return MonogenityVerdict.inconclusive(n, m, notes)

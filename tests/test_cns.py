@@ -75,6 +75,18 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="coordinates"):
             encode(CnsBasis(TWIN), (1, 0, 0))
 
+    def test_non_integer_coordinates_rejected(self):
+        # a float is named, never truncated: (1.5, 0.9) is not the element (1, 0)
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            encode(CnsBasis(TWIN), (1.5, 0.9))
+        with pytest.raises(ValueError, match="'1' is not an integer"):
+            CnsBasis(TWIN).validate_element(("1", 0))
+
+    def test_non_integer_digits_rejected(self):
+        with pytest.raises(ValueError, match="1.7 is not an integer"):
+            decode(CnsBasis(TWIN), [1.7, 0.2])
+        assert decode(CnsBasis(TWIN), [True, 0]) == (1, 0)  # a bool is an int
+
     def test_terminated_expansions_end_nonzero(self):
         basis = CnsBasis(TWIN)
         for coords in itertools.product(range(-4, 5), repeat=2):

@@ -199,8 +199,8 @@ class TestPrimesOfDegree:
         assert _primes_of_degree(split, 2) == 1
 
     def test_odd_p_coprime_to_m_grid(self):
-        # at an odd p | n with p not dividing m (n = u p^r) the split of x^n - m is exact, and each
-        # degree-d factor of x^u - m mod p carries nu_stable(p, m, r + 1) primes of residue degree d
+        # at an odd p | n with p not dividing m (n = u p^r) the split of x^n - m is exact, and over each
+        # factor of x^u - m mod p its primes are those of the closed form: (e, f) multisets agree
         checked = 0
         for n in range(3, 31):
             for p in arith.factorize(n).prime_divisors:
@@ -216,6 +216,12 @@ class TestPrimesOfDegree:
                     nu = arith.nu_stable(p, m, r + 1)
                     want = Counter({d: nu * fppoly.count_degree_d_factors(p, d, u, m) for d in range(1, u + 1)})
                     assert Counter(s.f for s in split.slots) == want, (n, m, p)
+                    by_phi: dict = {}
+                    for slot in split.slots:
+                        by_phi.setdefault(slot.phi, []).append((slot.e, slot.f))
+                    capped = arith.nu_stable(p, m, r + 2)
+                    for phi, primes in by_phi.items():
+                        assert sorted(primes) == sorted(purefield._local_primes(p, r, phi.degree, capped)), (n, m, p, phi)
                     checked += 1
         assert checked > 2000
 

@@ -28,6 +28,11 @@ class TestIntPoly:
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPoly.binomial(4, 17).coeffs == (-17, 0, 0, 0, 1)
 
+    def test_non_integer_coefficients_rejected(self):
+        # 1.5 is named, never truncated to 1
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            IntPoly([1.5, 1])
+
     def test_divmod_requires_monic(self):
         with pytest.raises(ValueError, match="monic"):
             divmod(IntPoly([1, 1]), IntPoly([1, 2]))

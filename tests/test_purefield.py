@@ -449,22 +449,23 @@ class TestTwoAdicCount:
                 for slot in split.slots:
                     by_phi.setdefault(slot.phi, []).append((slot.e, slot.f))
                 assert +Counter(phi.degree for phi in by_phi) == +phi_degrees, (n, m)
+                nu = min(r + 2, arith.padic_valuation(2, m - 1))
                 for phi, primes in by_phi.items():
-                    assert sorted(primes) == sorted(purefield._two_adic_primes(r, phi.degree, m)), (n, m, phi)
+                    assert sorted(primes) == sorted(purefield._local_primes(2, r, phi.degree, nu)), (n, m, phi)
                 counts = Counter(slot.f for slot in split.slots)
                 bounds = {d: arith.count_irreducibles(2, d) for d in counts}
                 ore_witness = next(((d, counts[d], bounds[d]) for d in sorted(counts) if counts[d] > bounds[d]), None)
-                assert purefield._two_adic_witness(n, m) == ore_witness, (n, m)
+                assert purefield._count_witness(n, m, 2) == ore_witness, (n, m)
 
     def test_primes_cover_the_degree(self):
-        # sum of e * residue degree over phi is 2^r * deg(phi), far beyond the n of the Ore grid
-        for r in range(1, 12):
-            for f in range(1, 7):
-                for m in range(-(2 ** (r + 3)) + 1, 2 ** (r + 3), 2):
-                    if m == 1:
-                        continue
-                    primes = purefield._two_adic_primes(r, f, m)
-                    assert sum(e * g for e, g in primes) == 2**r * f, (r, f, m)
+        # sum of e * residue degree over phi is p^r * deg(phi), far beyond the n of the Ore grid;
+        # nu runs over every value the cap at r + 2 leaves
+        for p in (2, 3, 5, 7):
+            for r in range(1, 12):
+                for f in range(1, 7):
+                    for nu in range(1, r + 3):
+                        primes = purefield._local_primes(p, r, f, nu)
+                        assert sum(e * g for e, g in primes) == p**r * f, (p, r, f, nu)
 
     def test_verdicts_above_the_budget(self):
         # the only verdicts the count changes, each re-derived by a direct split at p = 2
@@ -507,7 +508,7 @@ class TestTwoAdicCount:
         v = purefield.analyze(n, 3)
         assert v.status == "inconclusive"
         assert v.notes[-2:] == ("p=2: no common index divisor", f"degree {n} exceeds the direct-split budget 64")
-        # the cutoff 2^(d-1) >= (r + 3) * u = 4 * (2^61 - 1) ends the count after d = 63
+        # nu_2(3 - 1) = 1, so k = 0 and the cutoff 2^d >= 2 * (k + 3) * u = 6 * (2^61 - 1) ends the count after d = 63
         assert degrees == list(range(1, 64))
 
 
@@ -746,6 +747,8 @@ class TestAnalyze:
 
         monkeypatch.setattr(fppoly, "count_degree_d_factors", broken)
         with pytest.raises(ValueError, match="injected fault"):
+            purefield._count_witness(4, 5, 2)
+        with pytest.raises(ValueError, match="injected fault"):
             purefield.analyze(4, 5)  # 4 has no odd prime for the criterion; only the count at p = 2 calls it
 
     def test_generator_defects_propagate(self, monkeypatch):
@@ -761,6 +764,34 @@ class TestAnalyze:
         v = purefield.analyze(65, 2)
         assert v.status == "inconclusive"
         assert v.notes[-1] == "degree 65 exceeds the direct-split budget 64"
+
+    def test_regularity_note_at_p_equal_n(self):
+        # p = n divides gcd(n, m) too: 3 | gcd(3, nu_3(m)) exactly when 27 | m
+        irregular = "p=3: splitting not p-regular; only an index lower bound is known"
+        noted = [
+            m
+            for m in range(-200, 400)
+            if abs(m) >= 2 and purefield.binomial_irreducible(3, m) and irregular in purefield.analyze(3, m).notes
+        ]
+        assert noted == [-189, -135, -108, -54, 54, 108, 135, 189, 270, 297, 351, 378]
+        assert not ore.ore_split(IntPoly.binomial(3, 54), 3).exact
+
+    def test_regularity_notes_name_the_inexact_primes(self):
+        # an inconclusive verdict names exactly the primes p | n*m at which Ore's split is inexact
+        checked = 0
+        for n in range(3, 21):
+            for m in range(-60, 121):
+                if abs(m) < 2 or not purefield.binomial_irreducible(n, m):
+                    continue
+                v = purefield.analyze(n, m)
+                if v.status != "inconclusive":
+                    continue
+                F = IntPoly.binomial(n, m)
+                inexact = [p for p in arith.factorize(n * m).prime_divisors if not ore.ore_split(F, p).exact]
+                named = [int(note[2 : note.index(":")]) for note in v.notes if "not p-regular" in note]
+                assert named == inexact, (n, m)
+                checked += 1
+        assert checked > 500
 
     def test_regularity_notes_above_budget(self):
         # a split at p | m is irregular only when p | gcd(n, nu_p(m)); that needs no Ore split,
