@@ -26,8 +26,11 @@ _SIGNED_ENUM_BUDGET = 200_000
 
 
 def _divisors(n: int) -> list[int]:
+    n_fac = arith.factorize(n)
+    if n_fac.cofactors:
+        raise ValueError(f"divisors of {n} unknown: rho did not split the cofactor {n_fac.cofactors[0]}")
     out = [1]
-    for p, e in arith.factorize(n).factors:
+    for p, e in n_fac.factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 

@@ -291,7 +291,7 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     return ClosedFormData(p, r, u, phi, U, T, R, A0, nu0, points)
 
 
-def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
+def theorem_general_test(n: int, m: int, notes: list[str] | None = None) -> MonogenityVerdict | None:
     """Splitting-count non-monogenity criterion for x^n - m.
 
     For each odd prime p | n coprime to m, counts the primes above p of each
@@ -301,16 +301,23 @@ def theorem_general_test(n: int, m: int) -> MonogenityVerdict | None:
     that is never a monogenity claim.
 
     Runs entirely on integer arithmetic: no polynomial of degree n is built,
-    so n may be huge.  This loop is the one place `analyze` factors n.
+    so n may be huge.  This loop is the one place `analyze` factors n.  A
+    composite cofactor of n that rho does not split within its budget is
+    skipped, its primes untried; when nothing fires, a line naming its bit
+    size goes to notes.
     """
     if not binomial_irreducible(n, m):
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
-    for p in arith.factorize(n).prime_divisors:
+    n_fac = arith.factorize(n)
+    for p in n_fac.prime_divisors:
         if p == 2 or m % p == 0:
             continue
         witness = _count_witness(n, m, p)
         if witness is not None:
             return MonogenityVerdict.not_monogenic(n, m, f"splitting-count-criterion:p={p}", p, *witness)
+    if notes is not None:
+        for c in n_fac.cofactors:
+            notes.append(f"n has a {c.bit_length()}-bit composite cofactor rho did not split; its primes were not tried")
     return None
 
 
@@ -374,14 +381,16 @@ def _count_witness(n: int, m: int, p: int) -> tuple[int, int, int] | None:
 
     Needs p | n and p not dividing m.  The count is that of `_local_primes`,
     with `fppoly.count_degree_d_factors(p, f, u, m)` factors of degree f, so
-    no polynomial is built and n may be huge.  With k = min(nu - 1, r) and
-    c = k + 1 at odd p, c = k + 3 at p = 2, the loop over d stops once
-    p^d >= 2 * c * u (at p = 2 that is 2^(d-1) >= (k + 3) * u).  Why: at
-    most u/d factors have degree d and each gives at most k + 1 primes of
-    degree d, and (at p = 2 only) at most 2u/d have degree d/2 and give one
-    each, so degree d has at most c * u / d primes, while
+    no polynomial is built and n may be huge.  With k = min(nu - 1, r), the
+    loop over d stops once p^d >= 2 * (k + 1) * u, at every p.  Why: say a
+    factors of x^u - m mod p have degree d and b have degree d/2, so
+    a*d + b*d/2 <= u.  Each degree-d factor gives at most k + 1 primes of
+    degree d.  A degree-d/2 factor gives one, and only at p = 2 with
+    2 <= nu <= r + 1, where k = nu - 1 >= 1, so 1 <= (k + 1)/2.  Either way
+    degree d has at most (k + 1) * (a + b/2) <= (k + 1) * u / d primes, while
     d * N_p(d) >= p^d - (p^(floor(d/2) + 1) - p)/(p - 1) >= p^d / 2 for every
-    p and d >= 1.  So from that d on, N_p(d) >= c * u / d is never beaten.
+    p and d >= 1.  So from that d on, N_p(d) >= (k + 1) * u / d is never
+    beaten.
     """
     r = arith._valuation(p, n)
     u = n // p**r
@@ -389,7 +398,7 @@ def _count_witness(n: int, m: int, p: int) -> tuple[int, int, int] | None:
     while nu < r + 2 and pow(m, p - 1, p ** (nu + 1)) == 1:
         nu += 1
     k = min(nu - 1, r)
-    cutoff = 2 * (k + 3 if p == 2 else k + 1) * u
+    cutoff = 2 * (k + 1) * u
     counts: dict[int, int] = {}
     d = 1
     while p**d < cutoff:
@@ -495,7 +504,7 @@ class SelfCheckError(RuntimeError):
 
 
 class GeneratorHypothesisError(ValueError):
-    """The generator construction does not apply: a is not squarefree or misses a prime of n."""
+    """The generator construction does not apply: a is not (or not provably) squarefree, or misses a prime of n."""
 
 
 def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
@@ -525,7 +534,8 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     This is the one place that decides the hypotheses: a squarefree (a is
     factored here, once) and every prime of n dividing a, tested as n | a^e
     with e = bit_length(n) >= every exponent of n, so n is never factored.
-    When one fails it raises GeneratorHypothesisError; any other bad input is
+    When one fails, or a has a cofactor rho did not split so squarefreeness
+    is undecided, it raises GeneratorHypothesisError; any other bad input is
     a plain ValueError.
     """
     if n < 3:
@@ -537,6 +547,9 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     if abs(a) < 2:
         raise ValueError("|a| >= 2 required")
     a_fac = arith.factorize(a)
+    if a_fac.cofactors:
+        c = a_fac.cofactors[0]
+        raise GeneratorHypothesisError(f"a={a}: squarefreeness undecided, rho did not split the {c.bit_length()}-bit cofactor {c}")
     if not a_fac.is_squarefree:
         raise GeneratorHypothesisError(f"a={a} not squarefree")
     if pow(a, n.bit_length(), n):
@@ -599,7 +612,7 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
         except GeneratorHypothesisError:
             pass
     notes.append("no squarefree power decomposition matches the generator construction")
-    verdict = theorem_general_test(n, m)
+    verdict = theorem_general_test(n, m, notes)
     if verdict is not None:
         return verdict
     notes.append("splitting-count criterion did not fire")

@@ -11,11 +11,14 @@ that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
 against trial division, the latter with its residue arithmetic done by
 FpPoly division mod base rather than by the factoring engine.  CNS digit
 strings are decoded by Horner's rule and encoded one backward-division step
-at a time, on the coefficient tuple of G alone.
+at a time, on the coefficient tuple of G alone.  Primality is checked
+against all thirteen Miller-Rabin bases at every size, and factorizations
+against trial division.
 """
 
 import itertools
 import math
+import random
 
 from monocert import arith, purefield
 from monocert.fppoly import FpPoly
@@ -242,3 +245,53 @@ def cns_encode_by_steps(coeffs: tuple[int, ...], mode: str, z: tuple[int, ...], 
             return tuple(digits), False, state, len(digits)
         seen.add(state)
     return tuple(digits), False, None, len(digits)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: n odd > 2 passes base a (a^d = 1 or a^(2^i d) = -1 mod n for n - 1 = 2^r d)."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_all_bases(n: int) -> bool:
+    """Primality as tested before the base schedule: every one of the thirteen bases 2 .. 41 for any n.
+
+    Past their proof bound 3317044064679887385961981, forty witnesses drawn
+    from random.Random(n) run too.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    if n >= 3317044064679887385961981:
+        rng = random.Random(n)
+        bases += tuple(rng.randrange(2, n - 1) for _ in range(40))
+    return all(is_strong_probable_prime(n, a) for a in bases)
+
+
+def factorize_by_trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) of |n| >= 1, primes ascending, by dividing out d = 2, 3, 4, ... up to the square root of the rest."""
+    n, factors, d = abs(n), [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocert import cns
+from monocert import arith, cns
 from monocert.cns import CnsBasis, decode, encode, kovacs_hypothesis, verify_box
 from monocert.polygon import IntPoly
 from oracles import cns_decode_by_horner, cns_encode_by_steps
@@ -37,6 +37,12 @@ class TestCnsBasis:
             CnsBasis(IntPoly.binomial(4, 4))  # (x^2-2)(x^2+2), no rational root
         with pytest.raises(ValueError, match="digit_mode"):
             CnsBasis(TWIN, "balanced")
+
+    def test_constant_rho_cannot_split_is_rejected(self, monkeypatch):
+        c0 = 1000003 * 1000033
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 64)
+        with pytest.raises(ValueError, match=f"divisors of {c0} unknown: rho did not split the cofactor {c0}"):
+            CnsBasis(IntPoly([c0, 1, 1]))
 
 
 class TestEncodeDecode:

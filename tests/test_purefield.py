@@ -508,8 +508,8 @@ class TestTwoAdicCount:
         v = purefield.analyze(n, 3)
         assert v.status == "inconclusive"
         assert v.notes[-2:] == ("p=2: no common index divisor", f"degree {n} exceeds the direct-split budget 64")
-        # nu_2(3 - 1) = 1, so k = 0 and the cutoff 2^d >= 2 * (k + 3) * u = 6 * (2^61 - 1) ends the count after d = 63
-        assert degrees == list(range(1, 64))
+        # nu_2(3 - 1) = 1, so k = 0 and the cutoff 2^d >= 2 * (k + 1) * u = 2^62 - 2 ends the count after d = 61
+        assert degrees == list(range(1, 62))
 
 
 class TestBinomialDiscriminant:
@@ -700,6 +700,42 @@ class TestFactorOnlyWhatARouteNeeds:
             purefield.analyze(n, -m)
         assert factorized
         assert m not in factorized
+
+
+class TestUnsplitCofactor:
+    """Rho's budget leaves a composite unsplit: the routes that need its primes never read the rest as complete."""
+
+    SEMIPRIME = 1000003 * 1000033
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 64)
+        assert arith.factorize(self.SEMIPRIME).cofactors == (self.SEMIPRIME,)
+
+    def test_squarefree_hypothesis_undecided(self, small_budget):
+        a = 6 * self.SEMIPRIME
+        with pytest.raises(purefield.GeneratorHypothesisError, match=f"undecided.* 40-bit cofactor {self.SEMIPRIME}$"):
+            purefield.construct_generator(3, a, 2)
+        # analyze goes on to the other routes
+        assert purefield.analyze(3, a**2).status == "inconclusive"
+
+    def test_criterion_tries_the_primes_found(self, small_budget, monkeypatch):
+        tried = []
+        monkeypatch.setattr(purefield, "_count_witness", lambda n, m, p: tried.append(p))
+        notes = []
+        assert purefield.theorem_general_test(5 * 7 * self.SEMIPRIME, 2, notes) is None
+        assert tried == [5, 7]
+        assert notes == ["n has a 40-bit composite cofactor rho did not split; its primes were not tried"]
+
+    def test_analyze_of_an_n_rho_cannot_split(self):
+        # (2^61 - 1)(2^89 - 1) under the real budget: a verdict, not a hang
+        n = (2**61 - 1) * (2**89 - 1)
+        v = purefield.analyze(n, 3)
+        assert v.status == "inconclusive"
+        assert v.notes[1:3] == (
+            "n has a 150-bit composite cofactor rho did not split; its primes were not tried",
+            "splitting-count criterion did not fire",
+        )
 
 
 class TestAnalyze:
