@@ -7,10 +7,10 @@ generators, plus canonical-number-system tooling on the monogenic cases.
 
 __version__ = "0.1.0"
 
-from .arith import IntFactorization, bezout_positive, count_irreducibles, factorize, nu_stable, padic_valuation
+from .arith import IndexDivisorWitness, IntFactorization, bezout_positive, count_irreducibles, factorize, padic_valuation
 from .cns import BoxReport, CnsBasis, DigitExpansion, cns_from_monogenic, decode, encode, kovacs_hypothesis, verify_box
 from .fppoly import FactorMultiset, FpPoly, count_degree_d_factors, factor
-from .ore import FactorSlot, IndexDivisorWitness, PrimeSplit, common_index_divisor, ore_split
+from .ore import FactorSlot, PrimeSplit, common_index_divisor, ore_split
 from .polygon import (
     IntPoly,
     PhiExpansion,
@@ -30,7 +30,6 @@ from .purefield import (
     closed_form_lift,
     closed_form_polygon,
     construct_generator,
-    corollary_checks,
     theorem_general_test,
 )
 

@@ -1,4 +1,4 @@
-"""Integer arithmetic base layer: valuations, factorization, Bezout, irreducible counts.
+"""Integer arithmetic base layer: valuations, factorization, Bezout, irreducible counts, index-divisor witnesses.
 
 Everything here is exact big-integer arithmetic.  The primes below
 _TRIAL_BOUND = 2^12 are sieved once, at import, into a tuple, a set and
@@ -8,7 +8,8 @@ split by Brent's rho drawing from a fixed random stream, within a fixed
 budget of _RHO_BUDGET squarings per composite.  A composite rho could not split
 is kept as a cofactor of the factorization, so a factorization is complete
 only when it lists none.  The rho path may vary with the stream, the answer
-cannot: primes come out ascending.
+cannot: primes come out ascending.  Each prime is proved once per call, by
+the table or by one is_prime, however often rho meets it.
 
 is_prime answers n < 2^12 from the set.  Above it runs Miller-Rabin on the
 first k bases 2, 3, 5, ..., 41, k the least with n < psi_k, the least strong
@@ -143,25 +144,6 @@ def _valuation(p: int, m: int) -> int:
     return k
 
 
-def nu_stable(p: int, m: int, bound: int) -> int:
-    """min(bound, nu_p(m**(p-1) - 1)) for odd p not dividing m, without forming m**(p-1).
-
-    Tests m**(p-1) == 1 mod p**k for k = 1, 2, ..., bound via modular exponentiation.
-    """
-    if p == 2:
-        raise ValueError("p must be an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    if m % p == 0:
-        raise ValueError(f"{p} divides {m}")
-    nu = 0
-    while nu < bound and pow(m, p - 1, p ** (nu + 1)) == 1:
-        nu += 1
-    return nu
-
-
 def _pollard_rho(n: int, rng: random.Random) -> int | None:
     """Brent-cycle rho: some nontrivial factor of composite odd n, or None.
 
@@ -220,13 +202,15 @@ def factorize(n: int) -> IntFactorization:
         counts[p] = e = _valuation(p, n)
         n //= p**e
     rng = None  # built only when a composite cofactor reaches rho
+    proved = set(counts)  # every prime is proved once: from the table, or by is_prime below
     stack = [n] if n > 1 else []
     cofactors = []
     while stack:
         t = stack.pop()
         if t == 1:
             continue
-        if is_prime(t):
+        if t in proved or is_prime(t):
+            proved.add(t)
             counts[t] = counts.get(t, 0) + 1
             continue
         root = math.isqrt(t)
@@ -241,7 +225,7 @@ def factorize(n: int) -> IntFactorization:
         else:
             stack += [g, t // g]
     factors = tuple(sorted(counts.items()))
-    assert all(is_prime(p) for p, _ in factors)
+    assert all(p in proved for p, _ in factors)
     result = IntFactorization(value, factors, tuple(sorted(cofactors)))
     assert result.reconstruct() == value
     return result
@@ -272,6 +256,19 @@ def _mobius(n: int) -> int:
             mu = -mu
         d += 1
     return -mu if n > 1 else mu
+
+
+@dataclass(frozen=True)
+class IndexDivisorWitness:
+    """More primes above p of residue degree d than monic irreducibles of degree d over F_p: p divides every index.
+
+    The one witness type: the Ore split (ore) and the closed-form count (purefield) both return it.
+    """
+
+    p: int
+    d: int
+    ideal_count: int
+    irreducible_count: int
 
 
 def count_irreducibles(p: int, d: int) -> int:

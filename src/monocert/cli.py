@@ -288,12 +288,12 @@ def _cmd_polygon(args) -> int:
         phi = parse_poly(args.phi)
         if not (fbar % phi.reduce_mod(args.p)).is_zero:
             raise ValueError(f"{args.phi} is not a factor of the polynomial mod {args.p}")
-        lifts = [phi]
-    else:
-        lifts = [IntPoly.lift(fb) for fb, _ in fppoly.factor(fbar).factors]
+        developments = [phi_expand(F, phi)]
+    else:  # lifted as ore_split lifts them: moved by p while the lift divides F over Z
+        developments = [ore._develop(F, fb, args.p) for fb, _ in fppoly.factor(fbar).factors]
     entries = []
-    for phi in lifts:
-        exp = phi_expand(F, phi)
+    for exp in developments:
+        phi = exp.base
         poly = principal_polygon(exp, args.p)
         entry = {
             "phi": list(phi.coeffs),

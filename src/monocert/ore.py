@@ -2,11 +2,12 @@
 
 For a monic polynomial F and a prime p, every monic irreducible factor of
 F mod p is lifted (coefficients in [0, p), moved by p while the lift
-divides F over Z), developed, and its principal polygon's residual
-polynomials are factored over the residue extension.  When every residual
-is separable the splitting is exact: each slot is a prime ideal with its
-ramification index e and residue degree f.  Otherwise only the index lower
-bound is reported, never a splitting claim.
+divides F over Z; `monocert polygon` lifts by the same rule), developed,
+and its principal polygon's residual polynomials are factored over the
+residue extension.  When every residual is separable the splitting is
+exact: each slot is a prime ideal with its ramification index e and
+residue degree f.  Otherwise only the index lower bound is reported, never
+a splitting claim.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from . import arith, fppoly
 from .polygon import (
     IntPoly,
-    PrincipalPolygon,
+    PhiExpansion,
     phi_expand,
     polygon_index,
     principal_polygon,
@@ -71,14 +72,19 @@ class PrimeSplit:
         }
 
 
-@dataclass(frozen=True)
-class IndexDivisorWitness:
-    """d with more residue-degree-d primes than F_p has irreducibles of degree d."""
+def _develop(F: IntPoly, phi_bar: fppoly.FpPoly, p: int, count: int | None = None) -> PhiExpansion:
+    """phi-adic development of F (through part count - 1) in the [0, p) lift of phi_bar.
 
-    p: int
-    d: int
-    ideal_count: int
-    irreducible_count: int
+    The lift is moved on by the constant p while it divides F over Z, where
+    the polygon would be unbounded; F has finitely many monic factors over Z,
+    so this ends.
+    """
+    phi = IntPoly.lift(phi_bar)
+    exp = phi_expand(F, phi, count=count)
+    while exp.parts[0].is_zero:
+        phi = phi + IntPoly.const(p)
+        exp = phi_expand(F, phi, count=count)
+    return exp
 
 
 def ore_split(F: IntPoly, p: int) -> PrimeSplit:
@@ -88,12 +94,11 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     with `exact` False the slot list is partial and `index_valuation` is only
     a lower bound.
 
-    Each factor (phi_bar, mult) of F mod p is lifted with coefficients in
-    [0, p), moved on by the constant p while the lift divides F over Z (its
-    polygon would be unbounded), and developed only through part mult:
-    phi_bar^mult exactly divides F mod p, so part mult is the first of
-    valuation 0, where the lower hull's negative-slope prefix ends.  No later
-    part changes the polygon, its index or its residual polynomials.
+    Each factor (phi_bar, mult) of F mod p is lifted and developed by
+    `_develop` only through part mult: phi_bar^mult exactly divides F mod p,
+    so part mult is the first of valuation 0, where the lower hull's
+    negative-slope prefix ends.  No later part changes the polygon, its index
+    or its residual polynomials.
     """
     if not F.is_monic:
         raise ValueError("F must be monic")
@@ -105,12 +110,8 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     exact = True
     index_val = 0
     for phi_bar, mult in factors:
-        phi = IntPoly.lift(phi_bar)
-        exp = phi_expand(F, phi, count=mult + 1)
-        while exp.parts[0].is_zero:
-            # F has finitely many monic factors over Z, so this ends
-            phi = phi + IntPoly.const(p)
-            exp = phi_expand(F, phi, count=mult + 1)
+        exp = _develop(F, phi_bar, p, count=mult + 1)
+        phi = exp.base
         poly = principal_polygon(exp, p)
         assert poly.total_length == mult, "polygon length must equal the factor multiplicity"
         index_val += polygon_index(poly, phi_bar.degree)
@@ -134,7 +135,7 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     return PrimeSplit(p, tuple(slots), exact, index_val)
 
 
-def common_index_divisor(F: IntPoly, p: int) -> IndexDivisorWitness | None:
+def common_index_divisor(F: IntPoly, p: int) -> arith.IndexDivisorWitness | None:
     """Smallest d whose prime count beats the irreducible count, if any.
 
     A positive answer certifies that p divides the index of every generator of
@@ -148,5 +149,5 @@ def common_index_divisor(F: IntPoly, p: int) -> IndexDivisorWitness | None:
     for d in sorted(counts):
         bound = arith.count_irreducibles(p, d)
         if counts[d] > bound:
-            return IndexDivisorWitness(p, d, counts[d], bound)
+            return arith.IndexDivisorWitness(p, d, counts[d], bound)
     return None

@@ -17,6 +17,11 @@ Three independent certificate routes:
 * the direct route: the common-index-divisor test on the splitting of
   candidate primes.
 
+Both prime counts, the closed form and the Ore split
+(`ore.common_index_divisor`), return one witness type,
+`arith.IndexDivisorWitness(p, d, ideal_count, irreducible_count)`, and every
+`not_monogenic` verdict reads its four numbers off it.
+
 The direct route runs Ore splitting only at odd primes p not dividing m, and
 only up to degree 64.  At a prime p | m, x^n - m is x^n mod p, and Ore's
 data (one side, residual polynomial y^g - m/p^k) is known in closed form: the
@@ -133,18 +138,9 @@ class MonogenityVerdict:
     notes: tuple[str, ...] = ()
 
     @classmethod
-    def not_monogenic(cls, n, m, provenance, p, d, ideal_count, irreducible_count, notes=()):
-        return cls(
-            status="not_monogenic",
-            provenance=provenance,
-            n=n,
-            m=m,
-            p=p,
-            witness_d=d,
-            ideal_count=ideal_count,
-            irreducible_count=irreducible_count,
-            notes=tuple(notes),
-        )
+    def not_monogenic(cls, n, m, provenance, witness: arith.IndexDivisorWitness, notes=()):
+        w = witness
+        return cls("not_monogenic", provenance, n, m, w.p, w.d, w.ideal_count, w.irreducible_count, notes=tuple(notes))
 
     @classmethod
     def monogenic(cls, n, m, provenance, t, s, G, a, u, alpha_index_bound, notes=()):
@@ -297,8 +293,9 @@ def theorem_general_test(n: int, m: int, notes: list[str] | None = None) -> Mono
     For each odd prime p | n coprime to m, counts the primes above p of each
     residue degree d in closed form (`_count_witness`).  Whenever a count
     beats the number of monic irreducible degree-d polynomials over F_p, p
-    divides the index of every generator.  Returns None when no prime fires;
-    that is never a monogenity claim.
+    divides the index of every generator: the verdict carries that
+    IndexDivisorWitness for the first such p.  Returns None when no prime
+    fires; that is never a monogenity claim.
 
     Runs entirely on integer arithmetic: no polynomial of degree n is built,
     so n may be huge.  This loop is the one place `analyze` factors n.  A
@@ -314,7 +311,7 @@ def theorem_general_test(n: int, m: int, notes: list[str] | None = None) -> Mono
             continue
         witness = _count_witness(n, m, p)
         if witness is not None:
-            return MonogenityVerdict.not_monogenic(n, m, f"splitting-count-criterion:p={p}", p, *witness)
+            return MonogenityVerdict.not_monogenic(n, m, f"splitting-count-criterion:p={p}", witness)
     if notes is not None:
         for c in n_fac.cofactors:
             notes.append(f"n has a {c.bit_length()}-bit composite cofactor rho did not split; its primes were not tried")
@@ -376,21 +373,22 @@ def _local_primes(p: int, r: int, f: int, nu: int) -> list[tuple[int, int]]:
     return primes
 
 
-def _count_witness(n: int, m: int, p: int) -> tuple[int, int, int] | None:
-    """(d, primes of residue degree d above p, N_p(d)) for the smallest d with more primes, or None.
+def _count_witness(n: int, m: int, p: int) -> arith.IndexDivisorWitness | None:
+    """IndexDivisorWitness(p, d, L, N_p(d)) for the smallest d with L > N_p(d) primes of residue degree d, or None.
 
-    Needs p | n and p not dividing m.  The count is that of `_local_primes`,
-    with `fppoly.count_degree_d_factors(p, f, u, m)` factors of degree f, so
-    no polynomial is built and n may be huge.  With k = min(nu - 1, r), the
-    loop over d stops once p^d >= 2 * (k + 1) * u, at every p.  Why: say a
-    factors of x^u - m mod p have degree d and b have degree d/2, so
-    a*d + b*d/2 <= u.  Each degree-d factor gives at most k + 1 primes of
-    degree d.  A degree-d/2 factor gives one, and only at p = 2 with
-    2 <= nu <= r + 1, where k = nu - 1 >= 1, so 1 <= (k + 1)/2.  Either way
-    degree d has at most (k + 1) * (a + b/2) <= (k + 1) * u / d primes, while
-    d * N_p(d) >= p^d - (p^(floor(d/2) + 1) - p)/(p - 1) >= p^d / 2 for every
-    p and d >= 1.  So from that d on, N_p(d) >= (k + 1) * u / d is never
-    beaten.
+    Needs p | n and p not dividing m.  nu = nu_p(m^(p-1) - 1), capped at
+    r + 2, is read off modular powers, never forming m^(p-1).  The count is
+    that of `_local_primes`, with `fppoly.count_degree_d_factors(p, f, u, m)`
+    factors of degree f, so no polynomial is built and n may be huge.  With
+    k = min(nu - 1, r), the loop over d stops once p^d >= 2 * (k + 1) * u,
+    at every p.  Why: say a factors of x^u - m mod p have degree d and b have
+    degree d/2, so a*d + b*d/2 <= u.  Each degree-d factor gives at most
+    k + 1 primes of degree d.  A degree-d/2 factor gives one, and only at
+    p = 2 with 2 <= nu <= r + 1, where k = nu - 1 >= 1, so 1 <= (k + 1)/2.
+    Either way degree d has at most (k + 1) * (a + b/2) <= (k + 1) * u / d
+    primes, while d * N_p(d) >= p^d - (p^(floor(d/2) + 1) - p)/(p - 1)
+    >= p^d / 2 for every p and d >= 1.  So from that d on,
+    N_p(d) >= (k + 1) * u / d is never beaten.
     """
     r = arith._valuation(p, n)
     u = n // p**r
@@ -410,62 +408,9 @@ def _count_witness(n: int, m: int, p: int) -> tuple[int, int, int] | None:
         if count:
             bound = arith.count_irreducibles(p, d)
             if count > bound:
-                return d, count, bound
+                return arith.IndexDivisorWitness(p, d, count, bound)
         d += 1
     return None
-
-
-_FAMILIES = {"5-7": (5, 7), "3-11": (3, 11), "5-11": (5, 11)}
-
-
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Family shortcut evaluated verbatim, cross-checked against the criterion."""
-
-    family: str
-    r: int
-    s: int
-    m: int
-    corollary_fires: bool
-    fired_condition: int | None
-    theorem_verdict: MonogenityVerdict | None
-    agree: bool
-    discrepancy: str | None = None
-
-
-def corollary_checks(family: str, r: int, s: int, m: int) -> CorollaryReport:
-    """Evaluate a family hypothesis verbatim and compare with the general criterion.
-
-    The family conditions are congruence shortcuts; each firing must be
-    reproduced by theorem_general_test.  A shortcut that fires while the
-    criterion does not is reported as a discrepancy, not suppressed.
-    """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    if r < 1 or s < 1:
-        raise ValueError("r and s must be positive")
-    pa, pb = _FAMILIES[family]
-    n = pa**r * pb**s
-    if family == "5-7":
-        cond1 = r >= 1 and s >= 7 and pow(m, 6, 7**8) == 1
-        cond2 = r >= 5 and s >= 1 and pow(m, 4, 5**6) == 1
-    elif family == "3-11":
-        cond1 = r >= 1 and s >= 11 and pow(m, 10, 11**12) == 1
-        cond2 = r >= 2 and s >= 1 and pow(m, 2, 27) == 1
-    else:
-        cond1 = r >= 1 and s >= 2 and m % 11 == 10 and pow(m, 10, 11**3) == 1
-        cond2 = r >= 6 and s >= 1 and pow(m, 4, 5**6) == 1
-    fired = 1 if cond1 else 2 if cond2 else None
-    verdict = theorem_general_test(n, m)
-    fires = fired is not None
-    agree = (not fires) or verdict is not None
-    discrepancy = None
-    if not agree:
-        discrepancy = (
-            f"family {family} condition ({fired}) holds for r={r}, s={s}, m={m} "
-            f"but the splitting-count inequality does not fire"
-        )
-    return CorollaryReport(family, r, s, m, fires, fired, verdict, agree, discrepancy)
 
 
 def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
@@ -504,7 +449,14 @@ class SelfCheckError(RuntimeError):
 
 
 class GeneratorHypothesisError(ValueError):
-    """The generator construction does not apply: a is not (or not provably) squarefree, or misses a prime of n."""
+    """The generator construction does not apply: a is not (or not provably) squarefree, or misses a prime of n.
+
+    cofactor is the composite of a rho did not split when squarefreeness is undecided, else None.
+    """
+
+    def __init__(self, message: str, cofactor: int | None = None):
+        super().__init__(message)
+        self.cofactor = cofactor
 
 
 def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
@@ -549,7 +501,7 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
     a_fac = arith.factorize(a)
     if a_fac.cofactors:
         c = a_fac.cofactors[0]
-        raise GeneratorHypothesisError(f"a={a}: squarefreeness undecided, rho did not split the {c.bit_length()}-bit cofactor {c}")
+        raise GeneratorHypothesisError(f"a={a}: squarefreeness undecided, rho did not split the {c.bit_length()}-bit cofactor {c}", c)
     if not a_fac.is_squarefree:
         raise GeneratorHypothesisError(f"a={a} not squarefree")
     if pow(a, n.bit_length(), n):
@@ -589,7 +541,8 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     Order: generator construction when m = a^u passes the screen of
     `detect_power_decomposition` (m itself is never factored; the root a is
     factored once, by `construct_generator`, and a GeneratorHypothesisError
-    falls through to the next route, any other error surfaces); then the
+    falls through to the next route, noting the bit size of a cofactor that
+    left squarefreeness undecided; any other error surfaces); then the
     splitting-count criterion; then the common-index-divisor test at p = 2
     for n even and m odd, for every n, by the same closed-form prime count
     (`_count_witness`); then, for n up to _SPLIT_DEGREE_BUDGET = 64, the
@@ -604,14 +557,15 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     f >= 2.
     """
     _check_field(n, m)
-    notes: list[str] = []
+    notes = ["no squarefree power decomposition matches the generator construction"]
     decomp = detect_power_decomposition(n, m)
     if decomp is not None:
         try:
             return construct_generator(n, *decomp)
-        except GeneratorHypothesisError:
-            pass
-    notes.append("no squarefree power decomposition matches the generator construction")
+        except GeneratorHypothesisError as exc:
+            if exc.cofactor is not None:
+                bits = exc.cofactor.bit_length()
+                notes = [f"the power root of m has a {bits}-bit composite cofactor rho did not split; the generator construction is undecided"]
     verdict = theorem_general_test(n, m, notes)
     if verdict is not None:
         return verdict
@@ -620,7 +574,7 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
     if two_adic:
         witness = _count_witness(n, m, 2)
         if witness is not None:
-            return MonogenityVerdict.not_monogenic(n, m, "common-index-divisor:p=2", 2, *witness)
+            return MonogenityVerdict.not_monogenic(n, m, "common-index-divisor:p=2", witness)
     irregular = "p={}: splitting not p-regular; only an index lower bound is known"
     if n <= _SPLIT_DEGREE_BUDGET:
         F = IntPoly.binomial(n, m)
@@ -634,15 +588,7 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
                 notes.append(irregular.format(p))
                 continue
             if witness is not None:
-                return MonogenityVerdict.not_monogenic(
-                    n,
-                    m,
-                    provenance=f"common-index-divisor:p={p}",
-                    p=p,
-                    d=witness.d,
-                    ideal_count=witness.ideal_count,
-                    irreducible_count=witness.irreducible_count,
-                )
+                return MonogenityVerdict.not_monogenic(n, m, f"common-index-divisor:p={p}", witness)
     elif two_adic:
         notes.append("p=2: no common index divisor")
     # irregular at p | m needs p | gcd(n, nu_p(m)), so p <= nu_p(m) < bit_length(|m|)

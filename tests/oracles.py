@@ -13,7 +13,9 @@ FpPoly division mod base rather than by the factoring engine.  CNS digit
 strings are decoded by Horner's rule and encoded one backward-division step
 at a time, on the coefficient tuple of G alone.  Primality is checked
 against all thirteen Miller-Rabin bases at every size, and factorizations
-against trial division.
+against trial division.  The paper's family corollaries are evaluated as
+their congruence conditions, for the tests to hold the general
+splitting-count criterion to them.
 """
 
 import itertools
@@ -295,3 +297,22 @@ def factorize_by_trial_division(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
+
+
+# The paper's family corollaries: n = pa^r * pb^s, and two congruence conditions on m.
+FAMILIES = {"5-7": (5, 7), "3-11": (3, 11), "5-11": (5, 11)}
+
+
+def family_condition(family: str, r: int, s: int, m: int) -> tuple[int, int | None]:
+    """(n, the first of the family's conditions (1) and (2) that m meets, or None), each evaluated verbatim."""
+    pa, pb = FAMILIES[family]
+    if family == "5-7":
+        cond1 = s >= 7 and pow(m, 6, 7**8) == 1
+        cond2 = r >= 5 and pow(m, 4, 5**6) == 1
+    elif family == "3-11":
+        cond1 = s >= 11 and pow(m, 10, 11**12) == 1
+        cond2 = r >= 2 and pow(m, 2, 27) == 1
+    else:
+        cond1 = s >= 2 and m % 11 == 10 and pow(m, 10, 11**3) == 1
+        cond2 = r >= 6 and pow(m, 4, 5**6) == 1
+    return pa**r * pb**s, 1 if cond1 else 2 if cond2 else None

@@ -8,11 +8,12 @@ import json
 import random
 import time
 
+import monocert
 from monocert import arith, cns, fppoly, ore, purefield
 from monocert.cli import main as cli_main
 from monocert.cns import CnsBasis
 from monocert.polygon import IntPoly, phi_expand, polygon_index, principal_polygon, residual_polynomial
-from oracles import binomial_discriminant, derivative, resultant
+from oracles import binomial_discriminant, derivative, family_condition, resultant
 
 
 def _finish(num, label, checks, elapsed, limit=None):
@@ -166,15 +167,15 @@ def test_criterion_6_criterion_cross_validation():
     checks.append(("huge-degree under 1s", big_elapsed < 1.0))
 
     t_fam = time.perf_counter()
-    fam = purefield.corollary_checks("5-11", 1, 2, 1330)  # m = -1 mod 11, m^10 = 1 mod 1331
+    n, cond = family_condition("5-11", 1, 2, 1330)  # m = -1 mod 11, m^10 = 1 mod 1331
+    fam = purefield.theorem_general_test(n, 1330)
     fam_elapsed = time.perf_counter() - t_fam
-    checks.append(("5-11 family instance fires", fam.corollary_fires and fam.agree and fam.theorem_verdict is not None))
+    checks.append(("5-11 family instance fires", cond == 1 and fam is not None))
     checks.append(("5-11 under 1s", fam_elapsed < 1.0))
 
-    shallow = purefield.corollary_checks("3-11", 2, 1, 26)
-    checks.append(
-        ("shallow 3-11 discrepancy reported", shallow.corollary_fires and not shallow.agree and shallow.discrepancy is not None)
-    )
+    # the family's condition (2) holds, but the splitting-count inequality does not fire
+    n, cond = family_condition("3-11", 2, 1, 26)
+    checks.append(("shallow 3-11 discrepancy reported", cond == 2 and purefield.theorem_general_test(n, 26) is None))
     _finish(6, "splitting-count criterion cross-validation", checks, time.perf_counter() - t0)
 
 
@@ -233,3 +234,20 @@ def test_criterion_8_determinism(capsys):
         json.loads(first)  # every report is valid JSON
     elapsed = time.perf_counter() - t0
     _finish(8, "byte-identical JSON reports across reruns (timing excluded)", checks, elapsed)
+
+
+def test_public_surface():
+    # every export is pinned, so one that only tests reach cannot come back unnoticed
+    assert monocert.__all__ == [
+        "BoxReport", "ClosedFormData", "CnsBasis", "DigitExpansion", "FactorMultiset", "FactorSlot", "FpPoly",
+        "IndexDivisorWitness", "IntFactorization", "IntPoly", "MonogenityVerdict", "PhiExpansion", "PrimeSplit",
+        "PrincipalPolygon", "ResidualPolynomial", "Side", "analyze", "arith", "bezout_positive", "binomial_irreducible",
+        "closed_form_lift", "closed_form_polygon", "cns", "cns_from_monogenic", "common_index_divisor",
+        "construct_generator", "count_degree_d_factors", "count_irreducibles", "decode", "encode", "factor", "factorize",
+        "fppoly", "kovacs_hypothesis", "ore", "ore_split", "padic_valuation", "phi_expand", "polygon", "polygon_index",
+        "principal_polygon", "purefield", "residual_polynomial", "theorem_general_test", "verify_box",
+    ]  # fmt: skip
+    # both prime counts return the one witness type
+    witness = arith.IndexDivisorWitness(2, 1, 3, 2)
+    assert ore.common_index_divisor(IntPoly.binomial(4, 17), 2) == witness == purefield._count_witness(4, 17, 2)
+    assert monocert.IndexDivisorWitness is arith.IndexDivisorWitness

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -165,36 +166,6 @@ class TestPadicValuation:
         assert arith.padic_valuation(p, -(p**k) * w) == k
 
 
-class TestNuStable:
-    def test_known_values(self):
-        assert arith.nu_stable(3, 2, 64) == 1
-        assert arith.nu_stable(5, 7, 64) == 2
-        # m = 7^8 - 1 is congruent to -1 mod 7^8, so m^6 = 1 mod 7^8 exactly
-        assert arith.nu_stable(7, 5764800, 64) == 8
-
-    def test_rejects_even_prime_and_divisible_m(self):
-        with pytest.raises(ValueError, match="odd"):
-            arith.nu_stable(2, 3, 64)
-        with pytest.raises(ValueError, match="divides"):
-            arith.nu_stable(5, 10, 64)
-        with pytest.raises(ValueError, match="positive"):
-            arith.nu_stable(3, 2, 0)
-
-    def test_min_of_bound_and_valuation(self):
-        # m = 3^70 + 1: m^2 - 1 = 3^70 (3^70 + 2), valuation 70
-        assert arith.nu_stable(3, 3**70 + 1, 64) == 64
-        assert arith.nu_stable(3, 3**70 + 1, 80) == 70
-        assert arith.nu_stable(3, 3**70 + 1, 70) == 70
-
-    def test_matches_big_integer_oracle(self):
-        for p in (3, 5, 7):
-            for m in range(-500, 501):
-                if abs(m) < 2 or m % p == 0:
-                    continue
-                expected = arith.padic_valuation(p, m ** (p - 1) - 1)
-                assert arith.nu_stable(p, m, 64) == expected, (p, m)
-
-
 class TestFactorize:
     def test_known_values(self):
         assert arith.factorize(6723).factors == ((3, 4), (83, 1))
@@ -268,6 +239,29 @@ class TestFactorize:
     def test_pinned_large_values(self, n, factors):
         f = arith.factorize(n)
         assert (f.factors, f.cofactors) == (factors, ())
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((4099, 1),),
+            ((2, 5), (3, 1), (4099, 3)),
+            ((1000003, 2),),  # a square: its root goes on the stack twice
+            ((5, 2), (4099, 3), (1000003, 2), (1048583, 1)),
+        ],
+    )
+    def test_each_prime_is_proved_once(self, factors, monkeypatch):
+        # the table proves the small primes; each larger prime gets one is_prime, however often rho meets it
+        proofs = Counter()
+        real = arith.is_prime
+
+        def counting(n):
+            answer = real(n)
+            proofs[n] += answer
+            return answer
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        assert arith.factorize(math.prod(p**e for p, e in factors)).factors == factors
+        assert +proofs == Counter({p: 1 for p, _ in factors if p >= arith._TRIAL_BOUND})
 
 
 # primes between the trial-division bound 2^12 and 10^6: the rho path, not trial division, finds them

@@ -131,6 +131,17 @@ class TestPolygonCommand:
         code, _, err = run_cli(capsys, "polygon", "--n", "4", "--m", "17", "--p", "2", "--phi", "x")
         assert code == 2 and "factor" in err
 
+    def test_lift_moved_by_p_as_factor_does(self, capsys):
+        # x^3 + 5 is inert at 7 and is its own [0, 7) lift, which divides it over Z: both commands move it by 7
+        doc = run_json(capsys, "polygon", "--n", "3", "--m", "-5", "--p", "7", "--render", "none")
+        split = run_json(capsys, "factor", "--n", "3", "--m", "-5", "--p", "7")["split"]
+        assert [e["phi"] for e in doc["polygons"]] == [s["phi"] for s in split["slots"]] == [[12, 0, 0, 1]]
+        assert doc["polygons"][0]["index"] == split["index_valuation"] == 0
+
+    def test_explicit_phi_is_not_moved(self, capsys):
+        code, _, err = run_cli(capsys, "polygon", "--n", "3", "--m", "-5", "--p", "7", "--phi", "x^3+5")
+        assert code == 2 and "base divides the polynomial over Z" in err
+
     def test_ascii_width_eight_sides(self):
         vertices = [(0, 50), (1, 42), (3, 30), (6, 21), (10, 14), (15, 9), (21, 5), (28, 2), (36, 0)]
         poly = principal_from_points(vertices)

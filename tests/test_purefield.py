@@ -13,6 +13,7 @@ from oracles import (
     binomial_irreducible_by_factoring,
     closed_form_horner,
     discriminant,
+    family_condition,
     is_canonical,
 )
 
@@ -276,35 +277,55 @@ class TestGeneralCriterion:
 
 
 class TestCorollaryChecks:
+    """The paper's family corollaries, evaluated as congruences, against `theorem_general_test`."""
+
+    @staticmethod
+    def _shallow(family, r, s, m, cond):
+        # 3-11 condition (2) asks only nu_3(m^2 - 1) >= 3 (m^2 = 1 mod 27).  With nu = 3 or r = 2,
+        # k = min(nu - 1, r) = 2 gives 3 degree-1 primes over the one root of x^11 - m mod 3, no more than the
+        # 3 monic linear polynomials over F_3: the criterion needs m^2 = 1 mod 81 and r >= 3.  At s >= 2 the
+        # degree-5 factors of x^(11^s) - m fire on their own.
+        return family == "3-11" and cond == 2 and s == 1 and (r == 2 or pow(m, 2, 81) != 1)
+
+    def test_every_firing_is_confirmed_but_the_shallow_3_11_condition(self):
+        fired = shallow = 0
+        for family, moduli in {"5-7": (7**8, 5**6), "3-11": (11**12, 27), "5-11": (11**3, 5**6)}.items():
+            ms = set(range(-30, 31)) | {k * M + e for M in moduli for k in (-3, -2, -1, 1, 2, 3) for e in (-1, 1)}
+            for r in range(1, 7):
+                for s in range(1, 12):
+                    for m in sorted(ms):
+                        if abs(m) < 2:
+                            continue
+                        n, cond = family_condition(family, r, s, m)
+                        if cond is None or not purefield.binomial_irreducible(n, m):
+                            continue
+                        fired += 1
+                        expect_none = self._shallow(family, r, s, m, cond)
+                        shallow += expect_none
+                        assert (purefield.theorem_general_test(n, m) is None) == expect_none, (family, r, s, m, cond)
+        assert (fired, shallow) == (1848, 44)
+
     def test_family_5_7(self):
-        rep = purefield.corollary_checks("5-7", 1, 7, 7**8 - 1)
-        assert rep.corollary_fires and rep.fired_condition == 1
-        assert rep.agree and rep.theorem_verdict is not None
+        n, cond = family_condition("5-7", 1, 7, 7**8 - 1)
+        assert cond == 1 and purefield.theorem_general_test(n, 7**8 - 1) is not None
 
     def test_family_5_11(self):
-        rep = purefield.corollary_checks("5-11", 1, 2, 1330)
-        assert rep.corollary_fires and rep.fired_condition == 1
-        assert rep.agree
-        assert rep.theorem_verdict.ideal_count == 15  # 3 sides x 5 factors
+        n, cond = family_condition("5-11", 1, 2, 1330)
+        assert cond == 1
+        assert purefield.theorem_general_test(n, 1330).ideal_count == 15  # 3 sides x 5 factors
 
     def test_family_3_11_discrepancy_flagged(self):
-        # shallow congruence: hypothesis met at r=2 but the inequality needs more
-        rep = purefield.corollary_checks("3-11", 2, 1, 26)
-        assert rep.corollary_fires and rep.fired_condition == 2
-        assert not rep.agree
-        assert "does not fire" in rep.discrepancy
+        # shallow congruence: condition (2) holds at r=2, but the splitting-count inequality does not fire
+        n, cond = family_condition("3-11", 2, 1, 26)
+        assert (n, cond) == (99, 2)
+        assert purefield.theorem_general_test(99, 26) is None
 
     def test_family_3_11_fires_when_deep(self):
-        rep = purefield.corollary_checks("3-11", 3, 1, 80)
-        assert rep.corollary_fires and rep.agree
+        n, cond = family_condition("3-11", 3, 1, 80)
+        assert cond == 2 and purefield.theorem_general_test(n, 80) is not None
 
     def test_silent_family_is_not_a_discrepancy(self):
-        rep = purefield.corollary_checks("5-7", 1, 1, 3)
-        assert not rep.corollary_fires and rep.agree
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
-            purefield.corollary_checks("2-3", 1, 1, 5)
+        assert family_condition("5-7", 1, 1, 3) == (35, None)
 
 
 class TestConstructGenerator:
@@ -454,7 +475,9 @@ class TestTwoAdicCount:
                     assert sorted(primes) == sorted(purefield._local_primes(2, r, phi.degree, nu)), (n, m, phi)
                 counts = Counter(slot.f for slot in split.slots)
                 bounds = {d: arith.count_irreducibles(2, d) for d in counts}
-                ore_witness = next(((d, counts[d], bounds[d]) for d in sorted(counts) if counts[d] > bounds[d]), None)
+                ore_witness = next(
+                    (arith.IndexDivisorWitness(2, d, counts[d], bounds[d]) for d in sorted(counts) if counts[d] > bounds[d]), None
+                )
                 assert purefield._count_witness(n, m, 2) == ore_witness, (n, m)
 
     def test_primes_cover_the_degree(self):
@@ -716,8 +739,21 @@ class TestUnsplitCofactor:
         a = 6 * self.SEMIPRIME
         with pytest.raises(purefield.GeneratorHypothesisError, match=f"undecided.* 40-bit cofactor {self.SEMIPRIME}$"):
             purefield.construct_generator(3, a, 2)
-        # analyze goes on to the other routes
-        assert purefield.analyze(3, a**2).status == "inconclusive"
+        # analyze goes on to the other routes, and says squarefreeness was undecided, not refuted
+        v = purefield.analyze(3, a**2)
+        assert v.status == "inconclusive"
+        assert v.notes[0] == (
+            "the power root of m has a 40-bit composite cofactor rho did not split; the generator construction is undecided"
+        )
+        assert "no squarefree power decomposition matches the generator construction" not in v.notes
+
+    def test_refuted_hypothesis_keeps_its_note(self, small_budget):
+        # 144 = 12^2 passes the screen at n = 3; 12 is split completely and is not squarefree: refuted, note unchanged
+        assert purefield.detect_power_decomposition(3, 144) == (12, 2)
+        with pytest.raises(purefield.GeneratorHypothesisError, match="not squarefree") as info:
+            purefield.construct_generator(3, 12, 2)
+        assert info.value.cofactor is None
+        assert purefield.analyze(3, 144).notes[0] == "no squarefree power decomposition matches the generator construction"
 
     def test_criterion_tries_the_primes_found(self, small_budget, monkeypatch):
         tried = []
