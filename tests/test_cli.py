@@ -157,6 +157,13 @@ class TestFactorCommand:
         assert split["exact"] is True and split["index_valuation"] == 0
         assert sorted((s["e"], s["f"]) for s in split["slots"]) == [(1, 1), (1, 2)]
 
+    def test_split_matches_golden(self, capsys):
+        # x^30 - 8651 at 5: four factors of multiplicity 5 mod 5 (two of degree 2), each polygon with two sides
+        golden = pathlib.Path(__file__).parent / "data" / "factor_n30_m8651_p5.json"
+        doc = run_json(capsys, "factor", "--n", "30", "--m", "8651", "--p", "5")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+
     def test_poly_input(self, capsys):
         doc = run_json(capsys, "factor", "--poly", "x^2-12", "--p", "2")
         assert doc["split"]["exact"] is False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -122,6 +123,28 @@ class TestOreSplit:
             assert sum(s.e * s.f for s in split.slots) == F.degree
             if resultant(F, derivative(F)) % p != 0:
                 assert all(s.e == 1 for s in split.slots)
+
+
+# sha256 of the split JSON of x^n - m over 2 <= n <= 30, 2 <= |m| <= 40, one digest per p,
+# taken before the polygon kernel was tightened: any change to a slot, a flag or an index shows
+SPLIT_GRID_DIGESTS = {
+    2: "f96fc40c9ffeba36e4a532944f59c2f0d8fcb03b0fa0e096275f2e5c2a05eee9",
+    3: "1005f0a2ed20b613ebf10e629fa6370b5d29a7c4f75c980874b0dac3a4aa3fdf",
+    5: "6d0ec46706c47844f47752d054eee71f6dca304ed1053105024fce3e80ca74e0",
+    7: "0cb7a6cb173e7d4925b9f6785ecb913c90bb7a1df0848177cb20fa45c370e629",
+    11: "50c18cdbcb52f92e5b080b3d4a9f331a167c258ab38c946803826129aba8074d",
+    13: "cf94b16eca7de1de77e02c18d2f539940e992f58029d6dd473cd230d3bdce5ea",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SPLIT_GRID_DIGESTS))
+def test_split_bytes_pinned_on_binomial_grid(p):
+    h = hashlib.sha256()
+    for n in range(2, 31):
+        for a in range(2, 41):
+            for m in (a, -a):
+                h.update(json.dumps([n, m, ore.ore_split(IntPoly.binomial(n, m), p).to_json_dict()], sort_keys=True).encode())
+    assert h.hexdigest() == SPLIT_GRID_DIGESTS[p]
 
 
 class TestPrefixDevelopment:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -775,6 +777,19 @@ class TestUnsplitCofactor:
 
 
 class TestAnalyze:
+    def test_bytes_pinned_on_small_grid(self):
+        # sha256 of the verdict JSON, or the error text, over 3 <= n <= 24 and -60 <= m <= 120,
+        # taken before the polygon kernel was tightened
+        h = hashlib.sha256()
+        for n in range(3, 25):
+            for m in range(-60, 121):
+                try:
+                    doc = purefield.analyze(n, m).to_json_dict()
+                except ValueError as e:
+                    doc = {"error": str(e)}
+                h.update(json.dumps([n, m, doc], sort_keys=True).encode())
+        assert h.hexdigest() == "093de294f92a4fb92817b6b70d88fb27fee133d18745122f79378a7bab9d6a15"
+
     def test_monogenic_route(self):
         v = purefield.analyze(6, 30**5)
         assert v.status == "monogenic" and (v.t, v.s) == (5, 4)
