@@ -111,26 +111,18 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     index_val = 0
     for phi_bar, mult in factors:
         exp = _develop(F, phi_bar, p, count=mult + 1)
-        phi = exp.base
+        phi, degphi = exp.base, phi_bar.degree
         poly = principal_polygon(exp, p)
         assert poly.total_length == mult, "polygon length must equal the factor multiplicity"
-        index_val += polygon_index(poly, phi_bar.degree)
+        index_val += polygon_index(poly, degphi)
         for side_index, side in enumerate(poly.sides):
             res = residual_polynomial(exp, side, p)
             if not res.is_separable():
                 exact = False
                 continue
+            e = side.ram_index
             for factor_coeffs, fmult in fppoly.fq_factor(res.base, res.coeffs):
-                slots.append(
-                    FactorSlot(
-                        phi=phi,
-                        side_index=side_index,
-                        residual_factor=factor_coeffs,
-                        multiplicity=fmult,
-                        e=side.ram_index,
-                        f=phi_bar.degree * (len(factor_coeffs) - 1),
-                    )
-                )
+                slots.append(FactorSlot(phi, side_index, factor_coeffs, fmult, e, degphi * (len(factor_coeffs) - 1)))
     slots.sort(key=lambda s: (s.phi.coeffs, s.side_index, s.residual_factor))
     return PrimeSplit(p, tuple(slots), exact, index_val)
 

@@ -139,8 +139,11 @@ class IntPoly:
 
 
 def _content_valuation(a: IntPoly, p: int) -> int:
-    """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked."""
-    return min(arith._valuation(p, c) for c in a.coeffs if c)
+    """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked.
+
+    The min of the coefficients' valuations is the valuation of their gcd.
+    """
+    return arith._valuation(p, math.gcd(*a.coeffs))
 
 
 def _integers(values: Iterable) -> list[int]:
@@ -200,7 +203,9 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     j <= k, starting at j = min(k, count - 1); for x^n - m that is O(n)
     integer operations.  Any other phi is divided into F repeatedly on one
     coefficient list, in place, each remainder sliced off the bottom as the
-    next part, until `count` parts are sliced off.
+    next part, until `count` parts are sliced off; c such divisions cost
+    about the (n - cd) cd products of one division by phi^c.  Every part is
+    below deg phi, so `residual_polynomial` only reduces it mod p.
     """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
@@ -250,6 +255,13 @@ class Side:
         if self.end[1] >= self.start[1]:
             raise ValueError("principal sides have negative slope")
 
+    @classmethod
+    def _wrap(cls, start: tuple[int, int], end: tuple[int, int]) -> "Side":
+        """A Side from a chain segment, which already advances in x and falls in y: __post_init__ is skipped."""
+        out = object.__new__(cls)
+        out.__dict__.update(start=start, end=end)
+        return out
+
     @property
     def length(self) -> int:
         return self.end[0] - self.start[0]
@@ -287,39 +299,39 @@ class PrincipalPolygon:
         return not self.sides
 
 
-def lower_convex_hull(points: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Vertices of the lower convex hull, collinear interior points dropped."""
+def _principal_chain(points: Iterable[tuple[int, int]]) -> PrincipalPolygon:
+    """Principal polygon of points in strictly increasing x: the negative-slope prefix of their lower chain.
+
+    The monotone chain pops every vertex on or above the segment from its
+    predecessor to the next point, so collinear interior points go and
+    consecutive vertices advance in x; the prefix stops at the first vertex
+    that does not fall in y.  So every side passes Side's checks by
+    construction and is built unchecked.
+    """
+    hull: list[tuple[int, int]] = []
+    for pt in points:
+        x, y = pt
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            hull.pop()
+        hull.append(pt)
+    k = 1
+    while k < len(hull) and hull[k][1] < hull[k - 1][1]:
+        k += 1
+    if k == 1:
+        return PrincipalPolygon((), ())
+    return PrincipalPolygon(tuple(hull[:k]), tuple(Side._wrap(hull[i - 1], hull[i]) for i in range(1, k)))
+
+
+def principal_from_points(points: Sequence[tuple[int, int]]) -> PrincipalPolygon:
+    """Principal polygon of a point cloud: the negative-slope prefix of its lower hull (lowest point per x)."""
     best: dict[int, int] = {}
     for x, y in points:
         if x not in best or y < best[x]:
             best[x] = y
-    pts = sorted(best.items())
-    hull: list[tuple[int, int]] = []
-    for p in pts:
-        while len(hull) > 1:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return tuple(hull)
-
-
-def principal_from_points(points: Sequence[tuple[int, int]]) -> PrincipalPolygon:
-    """Principal polygon of a point cloud: the negative-slope prefix of its lower hull."""
-    hull = lower_convex_hull(points)
-    vertices = [hull[0]] if hull else []
-    sides = []
-    for a, b in zip(hull, hull[1:]):
-        if b[1] >= a[1]:
-            break
-        sides.append(Side(a, b))
-        vertices.append(b)
-    if not sides:
-        return PrincipalPolygon((), ())
-    return PrincipalPolygon(tuple(vertices), tuple(sides))
+    return _principal_chain(sorted(best.items()))
 
 
 def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
@@ -330,7 +342,9 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
     nu_p(parts[0]) = 0, i.e. when the reduction of the base does not divide
     the reduction of the developed polynomial.  The sides end at the first
     part of valuation 0, so a prefix development through that part gives
-    the same polygon as the full one.
+    the same polygon as the full one, and the cloud stops there too.  It
+    comes in increasing j, so it goes through the lower chain as it is,
+    without a sort.
     """
     phi_bar = exp.base.reduce_mod(p)  # proves p prime
     if phi_bar.degree != exp.base.degree:
@@ -339,8 +353,14 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
         raise ValueError(f"{phi_bar} is not irreducible")
     if exp.parts and exp.parts[0].is_zero:
         raise ValueError("base divides the polynomial over Z; the polygon is unbounded")
-    cloud = [(j, _content_valuation(a, p)) for j, a in enumerate(exp.parts) if not a.is_zero]
-    return principal_from_points(cloud)
+    cloud = []
+    for j, a in enumerate(exp.parts):
+        if a.coeffs:
+            v = _content_valuation(a, p)
+            cloud.append((j, v))
+            if not v:
+                break
+    return _principal_chain(cloud)
 
 
 def polygon_index(poly: PrincipalPolygon, degphi: int) -> int:
@@ -402,8 +422,10 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
     Coefficient j comes from the development part at abscissa s + j*e: zero if
     the cloud point lies strictly above the side, otherwise the reduction of
     part / p^valuation modulo (p, phi), as a residue tuple (see
-    ResidualPolynomial).  A side reaching past the last developed part is
-    rejected, since a prefix development does not know the parts beyond it.
+    ResidualPolynomial).  A part below deg phi (as `phi_expand` makes them)
+    is only reduced mod p; a longer, hand-made one is divided by phi mod p.
+    A side reaching past the last developed part is rejected, since a prefix
+    development does not know the parts beyond it.
     """
     phi_bar = exp.base.reduce_mod(p)  # proves p prime
     (s, ys) = side.start
@@ -427,7 +449,10 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
         else:
             # v is the content valuation of part, so every division is exact
             pv = p**v
-            coeffs.append((FpPoly(p, [c // pv for c in part.coeffs]) % phi_bar).coeffs)
+            if len(part.coeffs) < len(phi_bar.coeffs):
+                coeffs.append(tuple(_trimmed([c // pv % p for c in part.coeffs])))
+            else:
+                coeffs.append((FpPoly(p, [c // pv for c in part.coeffs]) % phi_bar).coeffs)
     if not coeffs[0] or not coeffs[-1]:
         raise ValueError("side endpoints must lie on the polygon")
     return ResidualPolynomial(phi_bar, side, tuple(coeffs))

@@ -418,14 +418,17 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
 
     Only u = g, g largest with |m| = b^g, can give a squarefree a = +-b.  The
     screen keeps a = +-b when the sign allows it, gcd(u, n) = 1 and every prime
-    of n divides b, that is n | b^e with e = bit_length(n) >= every exponent
-    of n.  It never factors, so whether b is squarefree is left to
-    `construct_generator`, which factors b once.  g is found by taking exact
-    q-th roots for primes q alone, as long as they exist: the exponents k with
-    |m| a k-th power are the divisors of g, so g is the product of the q taken.
-    Residues mod four primes l = 1 mod q reject most non-powers before any
-    Newton step (`_kth_root`).
+    of n divides b.  b has the primes of m, so that last test comes first, as
+    n | m^e with e = bit_length(n) >= every exponent of n: most m fail it
+    before any root is taken.  It never factors, so whether b is squarefree
+    is left to `construct_generator`, which factors b once.  g is found by
+    taking exact q-th roots for primes q alone, as long as they exist: the
+    exponents k with |m| a k-th power are the divisors of g, so g is the
+    product of the q taken.  Residues mod four primes l = 1 mod q reject
+    most non-powers before any Newton step (`_kth_root`).
     """
+    if pow(m, n.bit_length(), n):
+        return None
     b, u, q = abs(m), 1, 2
     while q <= b.bit_length():
         root = _kth_root(b, q)
@@ -438,8 +441,6 @@ def detect_power_decomposition(n: int, m: int) -> tuple[int, int] | None:
     if u == 1:
         return None
     if (m < 0 and u % 2 == 0) or math.gcd(u, n) != 1:
-        return None
-    if pow(b, n.bit_length(), n):
         return None
     return (-b if m < 0 else b), u
 

@@ -5,7 +5,8 @@ discriminant whenever p ramifies), decoding checks phi-adic developments, and
 the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
-through IntPoly, every IntPoly the engine builds unchecked against the
+through IntPoly, principal polygons against a lower convex hull that sorts
+and dedups its own cloud, every IntPoly the engine builds unchecked against the
 public constructor, the irreducibility test of x^n - m against the rule
 that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
 against trial division, the latter with its residue arithmetic done by
@@ -126,19 +127,51 @@ def closed_form_horner(m: int, p: int, r: int, phi: IntPoly, T: IntPoly) -> tupl
 
 
 def residual_coefficients(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[int, ...], ...]:
-    """Residual coefficients of a side: part / p^target through IntPoly, reduced mod (p, phi), () above the side."""
+    """Residual coefficients of a side: part / p^target through IntPoly, reduced mod (p, phi), () above the side.
+
+    A part's valuation is the min over its coefficients, each valued on its own.
+    """
     phi_bar = exp.base.reduce_mod(p)
     (s, ys) = side.start
     step = side.height // side.side_degree
     out = []
     for j in range(side.side_degree + 1):
         part, target = exp.parts[s + j * side.ram_index], ys - j * step
-        if part.is_zero or part.padic_valuation(p) > target:
+        if part.is_zero or min(arith.padic_valuation(p, c) for c in part.coeffs if c) > target:
             out.append(())
         else:
             unit = part.exact_div_scalar(p**target)
             out.append((unit.reduce_mod(p) % phi_bar).coeffs)
     return tuple(out)
+
+
+def lower_convex_hull(points) -> tuple[tuple[int, int], ...]:
+    """Vertices of the lower convex hull, collinear interior points dropped."""
+    best: dict[int, int] = {}
+    for x, y in points:
+        if x not in best or y < best[x]:
+            best[x] = y
+    pts = sorted(best.items())
+    hull: list[tuple[int, int]] = []
+    for p in pts:
+        while len(hull) > 1:
+            o, a = hull[-2], hull[-1]
+            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+            if cross <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return tuple(hull)
+
+
+def principal_vertices(points) -> tuple[tuple[int, int], ...]:
+    """Vertices of the negative-slope prefix of the lower hull: () when it has no falling side."""
+    hull = lower_convex_hull(points)
+    k = 1
+    while k < len(hull) and hull[k][1] < hull[k - 1][1]:
+        k += 1
+    return hull[:k] if k > 1 else ()
 
 
 def binomial_irreducible_by_factoring(n: int, m: int) -> bool:

@@ -2,22 +2,29 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from monocert import arith, fppoly, purefield
+from monocert import arith, fppoly, polygon, purefield
 from monocert.polygon import (
     IntPoly,
     PhiExpansion,
     Side,
-    lower_convex_hull,
     phi_expand,
     polygon_index,
     principal_from_points,
     principal_polygon,
     residual_polynomial,
 )
-from oracles import decode, discriminant, is_canonical, residual_coefficients, resultant
+from oracles import (
+    decode,
+    discriminant,
+    is_canonical,
+    lower_convex_hull,
+    principal_vertices,
+    residual_coefficients,
+    resultant,
+)
 
 QUARTIC = IntPoly.binomial(4, 17)
 PHI1 = IntPoly([-1, 1])
@@ -398,3 +405,70 @@ class TestLowerHull:
 
     def test_duplicate_x_takes_lowest(self):
         assert lower_convex_hull([(0, 5), (0, 2), (3, 0)]) == ((0, 2), (3, 0))
+
+
+# (p, phi) with phi irreducible mod p, for hand-made developments
+_HAND_BASES = [(2, IntPoly([1, 1, 1])), (2, IntPoly([1, 1, 0, 1])), (3, IntPoly([1, 0, 1])), (5, IntPoly([3, 1]))]
+
+
+class TestKernelOracles:
+    """The polygon kernel's fast routes against the routes they replaced."""
+
+    @given(
+        cs=st.lists(st.integers(-(2**900), 2**900), min_size=1, max_size=6).filter(any),
+        k=st.integers(0, 6),
+        p=st.sampled_from([2, 3, 5, 7, 13]),
+    )
+    @example(cs=[-(3**560), 0, 2 * 3**570], k=0, p=3)  # 888-bit coefficients, the negative one of least valuation
+    @example(cs=[0, 0, -7], k=2, p=7)
+    def test_content_valuation_is_min_of_coefficient_valuations(self, cs, k, p):
+        a = IntPoly([c * p**k for c in cs])
+        assert polygon._content_valuation(a, p) == min(arith.padic_valuation(p, c) for c in a.coeffs if c)
+
+    @given(column=st.dictionaries(st.integers(0, 40), st.integers(0, 30), max_size=14), extra=st.data())
+    def test_chain_matches_lower_hull(self, column, extra):
+        cloud = sorted(column.items())
+        poly = polygon._principal_chain(cloud)
+        assert poly.vertices == principal_vertices(cloud)
+        # each unchecked side is one the checked constructor accepts
+        assert poly.sides == tuple(Side(a, b) for a, b in zip(poly.vertices, poly.vertices[1:]))
+        # an unsorted cloud with points above each column's lowest gives the same polygon
+        above = extra.draw(st.lists(st.sampled_from(cloud), max_size=6)) if cloud else []
+        noisy = extra.draw(st.permutations(cloud + [(x, y + 1) for x, y in above]))
+        assert principal_from_points(noisy) == poly
+
+    def test_polygon_matches_hull_of_full_cloud(self):
+        # the cloud stops at the first part of valuation 0; the hull of every part gives the same polygon
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 300:
+            p = rng.choice([2, 3, 5, 7])
+            F = IntPoly([rng.randint(-60, 60) * p ** rng.randint(0, 3) for _ in range(rng.randint(2, 14))] + [1])
+            phi_bar = rng.choice([f for f, _ in fppoly.factor(F.reduce_mod(p)).factors])
+            exp = phi_expand(F, IntPoly.lift(phi_bar))
+            if exp.parts[0].is_zero:
+                continue
+            cloud = [(j, min(arith.padic_valuation(p, c) for c in a.coeffs if c)) for j, a in enumerate(exp.parts) if a.coeffs]
+            assert principal_polygon(exp, p).vertices == principal_vertices(cloud), (F, p, phi_bar)
+            checked += 1
+
+    @given(
+        base=st.sampled_from(_HAND_BASES),
+        parts=st.lists(
+            st.tuples(st.lists(st.integers(-40, 40), max_size=8), st.integers(0, 4)), min_size=2, max_size=6
+        ),
+    )
+    @example(base=_HAND_BASES[0], parts=[([0, 0, 0, 1], 1), ([1], 0)])  # 2x^3 = 2 mod (2, x^2 + x + 1)
+    @example(base=_HAND_BASES[0], parts=[([1, 0, 0, 1], 1), ([1], 0)])  # 2(x^3 + 1) = 0 mod (2, x^2 + x + 1)
+    def test_residuals_match_fppoly_route(self, base, parts):
+        # hand-made parts may reach past deg phi, so some need the division by phi mod p
+        p, phi = base
+        exp = PhiExpansion(phi, tuple(IntPoly([c * p**k for c in cs]) for cs, k in parts))
+        assume(not exp.parts[0].is_zero)
+        for side in principal_polygon(exp, p).sides:
+            want = residual_coefficients(exp, side, p)
+            if want[0] and want[-1]:
+                assert residual_polynomial(exp, side, p).coeffs == want
+            else:
+                with pytest.raises(ValueError, match="endpoints"):
+                    residual_polynomial(exp, side, p)

@@ -573,6 +573,17 @@ class TestDetectPowerDecomposition:
         assert purefield.detect_power_decomposition(10, 9) is None  # 3 misses the primes of 10
         assert purefield.detect_power_decomposition(9, 64) is None  # gcd(u, n) > 1 for u in {2, 3, 6}
 
+    def test_no_root_taken_when_m_misses_a_prime_of_n(self, monkeypatch):
+        # 15 does not divide m^4 for m = P * Q with 31-bit primes P, Q: no prime of 15 divides m, so no root is tried
+        roots = []
+        kth_root = purefield._kth_root
+        monkeypatch.setattr(purefield, "_kth_root", lambda b, k: roots.append(k) or kth_root(b, k))
+        assert purefield.detect_power_decomposition(15, (2**31 - 1) * 2147483629) is None
+        assert roots == []
+        # a power whose root has every prime of n still takes its roots
+        assert purefield.detect_power_decomposition(15, (15 * 2147483647) ** 2) == (15 * 2147483647, 2)
+        assert roots
+
 
 def _power_decomposition_oracle(n, m):
     """The screen by the exponent-gcd rule: factor m and take u = g, the gcd of its exponents."""
