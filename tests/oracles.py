@@ -6,8 +6,8 @@ the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
 through IntPoly, principal polygons against a lower convex hull that sorts
-and dedups its own cloud, every IntPoly the engine builds unchecked against the
-public constructor, the irreducibility test of x^n - m against the rule
+and dedups its own cloud, every IntPoly the engine builds unchecked against
+the public constructor, the irreducibility test of x^n - m against the rule
 that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
 against trial division, the latter with its residue arithmetic done by
 FpPoly division mod base rather than by the factoring engine.  CNS digit

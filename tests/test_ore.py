@@ -143,7 +143,8 @@ def test_split_bytes_pinned_on_binomial_grid(p):
     for n in range(2, 31):
         for a in range(2, 41):
             for m in (a, -a):
-                h.update(json.dumps([n, m, ore.ore_split(IntPoly.binomial(n, m), p).to_json_dict()], sort_keys=True).encode())
+                doc = ore.ore_split(IntPoly.binomial(n, m), p).to_json_dict()
+                h.update(json.dumps([n, m, doc], sort_keys=True).encode())
     assert h.hexdigest() == SPLIT_GRID_DIGESTS[p]
 
 

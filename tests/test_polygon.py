@@ -448,7 +448,9 @@ class TestKernelOracles:
             exp = phi_expand(F, IntPoly.lift(phi_bar))
             if exp.parts[0].is_zero:
                 continue
-            cloud = [(j, min(arith.padic_valuation(p, c) for c in a.coeffs if c)) for j, a in enumerate(exp.parts) if a.coeffs]
+            cloud = [
+                (j, min(arith.padic_valuation(p, c) for c in a.coeffs if c)) for j, a in enumerate(exp.parts) if a.coeffs
+            ]
             assert principal_polygon(exp, p).vertices == principal_vertices(cloud), (F, p, phi_bar)
             checked += 1
 
