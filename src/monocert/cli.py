@@ -289,8 +289,8 @@ def _cmd_polygon(args) -> int:
         if not (fbar % phi.reduce_mod(args.p)).is_zero:
             raise ValueError(f"{args.phi} is not a factor of the polynomial mod {args.p}")
         developments = [phi_expand(F, phi)]
-    else:  # lifted as ore_split lifts them: moved by p while the lift divides F over Z
-        developments = [ore._develop(F, fb, args.p) for fb, _ in fppoly.factor(fbar).factors]
+    else:  # lifted and developed as ore_split does: moved by p while the lift divides F over Z, through part mult
+        developments = [ore._develop(F, fb, args.p, count=mult + 1) for fb, mult in fppoly.factor(fbar).factors]
     entries = []
     for exp in developments:
         phi = exp.base

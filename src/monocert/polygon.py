@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -55,6 +56,8 @@ class IntPoly:
         """x**n - m."""
         if n < 1:
             raise ValueError("n must be positive")
+        if n - 1 > sys.maxsize:
+            raise ValueError(f"degree {n} is too large for a dense polynomial")
         return cls([-m] + [0] * (n - 1) + [1])
 
     @classmethod
@@ -185,10 +188,17 @@ class PhiExpansion:
 
     A prefix development (`phi_expand` with `count`) keeps only the leading
     parts and satisfies F = sum parts[j] * base**j mod base**len(parts).
+    The degree bound is checked here, so a longer part, which belongs to no
+    development in powers of base, raises a ValueError.
     """
 
     base: IntPoly
     parts: tuple[IntPoly, ...]
+
+    def __post_init__(self):
+        d = self.base.degree
+        if any(len(a.coeffs) > d for a in self.parts):
+            raise ValueError(f"every part must have degree below deg base = {d}")
 
 
 def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpansion:
@@ -204,8 +214,7 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     integer operations.  Any other phi is divided into F repeatedly on one
     coefficient list, in place, each remainder sliced off the bottom as the
     next part, until `count` parts are sliced off; c such divisions cost
-    about the (n - cd) cd products of one division by phi^c.  Every part is
-    below deg phi, so `residual_polynomial` only reduces it mod p.
+    about the (n - cd) cd products of one division by phi^c.
     """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
@@ -363,26 +372,34 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
     return _principal_chain(cloud)
 
 
+def _points_under(start: tuple[int, int], end: tuple[int, int]) -> int:
+    """Lattice points (x, y) with s < x <= t and y >= 1 on or under the segment from (s, y_s) to (t, y_t).
+
+    `polygon_index` gives the formula and its proof.
+    """
+    (s, ys), (t, yt) = start, end
+    length, height = t - s, ys - yt
+    return length * yt + ((length - 1) * (height - 1) + math.gcd(length, height) - 1) // 2
+
+
 def polygon_index(poly: PrincipalPolygon, degphi: int) -> int:
-    """deg(phi) times the number of lattice points with x,y >= 1 on or under the chain."""
+    """deg(phi) times the number of lattice points with x, y >= 1 on or under the chain (Ore's index).
+
+    The chain starts on the y-axis, as every phi-polygon does (parts[0] is
+    nonzero), and each side counts its half-open columns s < x <= t, so no
+    column is counted twice.  A side from (s, y_s) to (t, y_t), with
+    L = t - s, H = y_s - y_t and g = gcd(L, H), holds
+    L*y_t + ((L-1)(H-1) + g - 1)/2 points (`_points_under`): column t - j
+    holds y_t + floor(H j / L), and sum_{j<L} floor(H j / L) counts the
+    interior points of the L x H rectangle on or below its diagonal, which
+    are the g - 1 on it and, by central symmetry, half of the other
+    (L-1)(H-1) - (g-1).
+    """
     if degphi < 1:
         raise ValueError("degphi must be positive")
-    if poly.is_empty:
-        return 0
-    count = 0
-    for side in poly.sides:
-        (s, ys), (r, _) = side.start, side.end
-        length, height = side.length, side.height
-        for x in range(max(s, 1), r + 1):
-            # floor of the chain height at x, exact in integers
-            y = (ys * length - height * (x - s)) // length
-            if y >= 1:
-                count += y
-    # interior vertex columns are shared by two sides; subtract the duplicates
-    for v in poly.vertices[1:-1]:
-        if v[0] >= 1 and v[1] >= 1:
-            count -= v[1]
-    return degphi * count
+    if poly.vertices and poly.vertices[0][0]:
+        raise ValueError("a principal polygon starts on the y-axis")
+    return degphi * sum(_points_under(side.start, side.end) for side in poly.sides)
 
 
 @dataclass(frozen=True)
@@ -420,12 +437,11 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
     """Residual polynomial attached to a side of the principal polygon.
 
     Coefficient j comes from the development part at abscissa s + j*e: zero if
-    the cloud point lies strictly above the side, otherwise the reduction of
-    part / p^valuation modulo (p, phi), as a residue tuple (see
-    ResidualPolynomial).  A part below deg phi (as `phi_expand` makes them)
-    is only reduced mod p; a longer, hand-made one is divided by phi mod p.
-    A side reaching past the last developed part is rejected, since a prefix
-    development does not know the parts beyond it.
+    the cloud point lies strictly above the side, otherwise part / p^valuation
+    reduced mod p, as a residue tuple (see ResidualPolynomial).  Every part is
+    below deg phi (`PhiExpansion` checks it), so the reduction mod p is
+    already reduced modulo phi.  A side reaching past the last developed part
+    is rejected, since a prefix development does not know the parts beyond it.
     """
     phi_bar = exp.base.reduce_mod(p)  # proves p prime
     (s, ys) = side.start
@@ -449,10 +465,7 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolyno
         else:
             # v is the content valuation of part, so every division is exact
             pv = p**v
-            if len(part.coeffs) < len(phi_bar.coeffs):
-                coeffs.append(tuple(_trimmed([c // pv % p for c in part.coeffs])))
-            else:
-                coeffs.append((FpPoly(p, [c // pv for c in part.coeffs]) % phi_bar).coeffs)
+            coeffs.append(tuple(_trimmed([c // pv % p for c in part.coeffs])))
     if not coeffs[0] or not coeffs[-1]:
         raise ValueError("side endpoints must lie on the polygon")
     return ResidualPolynomial(phi_bar, side, tuple(coeffs))

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
-from .polygon import IntPoly, PrincipalPolygon, principal_from_points
+from .polygon import IntPoly, PrincipalPolygon, _points_under, principal_from_points
 
 
 def _iroot(x: int, k: int) -> int:
@@ -467,12 +467,12 @@ def _pure_split(n: int, c: int, q: int) -> tuple[bool, int]:
     polynomial itself: the polygon has the one side (0, k)--(n, 0), k = nu_q(c),
     of degree g = gcd(n, k) with residual polynomial y^g - c/q^k.  That is
     separable, and the split exact, iff q does not divide g.  The index is the
-    side's `polygon_index`, ((n-1)(k-1) + g - 1)/2 lattice points, and a lower
-    bound either way.  Needs no arithmetic mod q, so q may be any size.
+    lattice count under that side that `polygon_index` adds up
+    (`polygon._points_under`), and a lower bound either way.  Needs no
+    arithmetic mod q, so q may be any size.
     """
     k = arith._valuation(q, c)
-    g = math.gcd(n, k)
-    return g % q != 0, ((n - 1) * (k - 1) + g - 1) // 2
+    return math.gcd(n, k) % q != 0, _points_under((0, k), (n, 0))
 
 
 def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:

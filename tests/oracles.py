@@ -7,9 +7,10 @@ resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, residual coefficients against a division that goes
 through IntPoly, principal polygons against a lower convex hull that sorts
 and dedups its own cloud, every IntPoly the engine builds unchecked against
-the public constructor, the irreducibility test of x^n - m against the rule
-that factors n, and irreducibility over F_p and over F_q = F_p[x]/(base)
-against trial division, the latter with its residue arithmetic done by
+the public constructor, Ore's index against a column-by-column lattice
+count, the irreducibility test of x^n - m against the rule that factors n,
+and irreducibility over F_p and over F_q = F_p[x]/(base) against trial
+division, the latter with its residue arithmetic done by
 FpPoly division mod base rather than by the factoring engine.  CNS digit
 strings are decoded by Horner's rule and encoded one backward-division step
 at a time, on the coefficient tuple of G alone.  Primality is checked
@@ -172,6 +173,28 @@ def principal_vertices(points) -> tuple[tuple[int, int], ...]:
     while k < len(hull) and hull[k][1] < hull[k - 1][1]:
         k += 1
     return hull[:k] if k > 1 else ()
+
+
+def polygon_index_by_columns(poly, degphi: int) -> int:
+    """deg(phi) times the number of lattice points with x,y >= 1 on or under the chain, one column at a time."""
+    if degphi < 1:
+        raise ValueError("degphi must be positive")
+    if poly.is_empty:
+        return 0
+    count = 0
+    for side in poly.sides:
+        (s, ys), (r, _) = side.start, side.end
+        length, height = side.length, side.height
+        for x in range(max(s, 1), r + 1):
+            # floor of the chain height at x, exact in integers
+            y = (ys * length - height * (x - s)) // length
+            if y >= 1:
+                count += y
+    # interior vertex columns are shared by two sides; subtract the duplicates
+    for v in poly.vertices[1:-1]:
+        if v[0] >= 1 and v[1] >= 1:
+            count -= v[1]
+    return degphi * count
 
 
 def binomial_irreducible_by_factoring(n: int, m: int) -> bool:

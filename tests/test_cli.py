@@ -98,6 +98,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "reducible" in err
 
+    @pytest.mark.parametrize("argv", [("analyze", "--m", "216"), ("polygon", "--m", "3", "--p", "2")])
+    def test_degree_above_maxsize_exits_2(self, capsys, argv):
+        # n = 2^200 with m = 6^3 is a generator case, but no dense x^n - m fits in memory; only n - 1 above
+        # sys.maxsize is tested, since any smaller huge n would try to allocate
+        n = str(2**200)
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: degree {n} is too large for a dense polynomial\n"
+
 
 class TestPolygonCommand:
     def test_quartic_figure(self, capsys):
@@ -114,6 +123,14 @@ class TestPolygonCommand:
         doc = run_json(capsys, "polygon", "--n", "750", "--m", "44", "--p", "5", "--render", "none")
         doc.pop("timing")
         assert doc == json.loads(golden.read_text())
+
+    def test_multi_side_polygons_match_golden(self, capsys):
+        # x^750 - 124 at 5: four factors with three sides each, indices 30, 30, 60 and 60
+        golden = pathlib.Path(__file__).parent / "data" / "polygon_n750_m124_p5.json"
+        doc = run_json(capsys, "polygon", "--n", "750", "--m", "124", "--p", "5", "--render", "none")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+        assert [entry["index"] for entry in doc["polygons"]] == [30, 30, 60, 60]
 
     def test_svg_is_valid_xml(self, capsys):
         doc = run_json(capsys, "polygon", "--n", "3", "--m", "2", "--p", "2", "--render", "svg")

@@ -21,6 +21,7 @@ from oracles import (
     discriminant,
     is_canonical,
     lower_convex_hull,
+    polygon_index_by_columns,
     principal_vertices,
     residual_coefficients,
     resultant,
@@ -299,6 +300,22 @@ class TestPolygonIndex:
     def test_empty_polygon(self):
         assert polygon_index(principal_from_points([(0, 0), (3, 0)]), 1) == 0
 
+    @given(
+        y0=st.integers(0, 40),
+        cloud=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 40)), max_size=11),
+        degphi=st.integers(1, 4),
+    )
+    @example(y0=4, cloud=[(1, 2), (2, 1), (4, 0)], degphi=2)  # two interior vertices
+    @example(y0=7, cloud=[(2, 5), (6, 1), (9, 0)], degphi=1)  # a vertex at y = 1, the last side over no lattice point
+    def test_matches_column_count(self, y0, cloud, degphi):
+        # a phi-polygon starts on the y-axis (parts[0] is nonzero); the rest of the cloud is arbitrary
+        poly = principal_from_points([(0, y0)] + cloud)
+        assert polygon_index(poly, degphi) == polygon_index_by_columns(poly, degphi)
+
+    def test_off_axis_polygon_rejected(self):
+        with pytest.raises(ValueError, match="y-axis"):
+            polygon_index(principal_from_points([(1, 3), (4, 0)]), 1)
+
 
 class TestResidualPolynomial:
     def test_quartic_residuals(self):
@@ -351,13 +368,10 @@ class TestResidualPolynomial:
         assert res.coeffs == ((1,), (1, 1), (0, 1))
         assert str(res) == "(x)*y^2 + (x + 1)*y + 1"
 
-    def test_units_reduced_mod_phi_bar(self):
-        # a hand-made development whose constant part 2x^3 is not reduced: x^3 = 1 mod (2, x^2 + x + 1)
-        exp = PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([0, 0, 0, 2]), IntPoly([1])))
-        (side,) = principal_polygon(exp, 2).sides
-        res = residual_polynomial(exp, side, 2)
-        assert res.coeffs == ((1,), (1,))
-        assert res.is_separable()
+    def test_unreduced_development_rejected(self):
+        # a constant part 2x^3 reaches past deg phi = 2, so it belongs to no development in powers of x^2 + x + 1
+        with pytest.raises(ValueError, match="below deg base = 2"):
+            PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([0, 0, 0, 2]), IntPoly([1])))
 
     def test_mismatched_side_rejected(self):
         exp = phi_expand(QUARTIC, PHI1)
@@ -455,17 +469,27 @@ class TestKernelOracles:
             checked += 1
 
     @given(
-        base=st.sampled_from(_HAND_BASES),
-        parts=st.lists(
-            st.tuples(st.lists(st.integers(-40, 40), max_size=8), st.integers(0, 4)), min_size=2, max_size=6
-        ),
+        dev=st.sampled_from(_HAND_BASES).flatmap(
+            lambda base: st.tuples(
+                st.just(base),
+                st.lists(
+                    st.tuples(st.lists(st.integers(-40, 40), max_size=base[1].degree), st.integers(0, 4)),
+                    min_size=2,
+                    max_size=6,
+                ),
+            )
+        )
     )
-    @example(base=_HAND_BASES[0], parts=[([0, 0, 0, 1], 1), ([1], 0)])  # 2x^3 = 2 mod (2, x^2 + x + 1)
-    @example(base=_HAND_BASES[0], parts=[([1, 0, 0, 1], 1), ([1], 0)])  # 2(x^3 + 1) = 0 mod (2, x^2 + x + 1)
-    def test_residuals_match_fppoly_route(self, base, parts):
-        # hand-made parts may reach past deg phi, so some need the division by phi mod p
-        p, phi = base
-        exp = PhiExpansion(phi, tuple(IntPoly([c * p**k for c in cs]) for cs, k in parts))
+    @example(dev=(_HAND_BASES[0], [([0, 0, 0, 1], 1), ([1], 0)]))  # 2x^3 reaches past deg phi = 2
+    def test_residuals_match_fppoly_route(self, dev):
+        # hand-made parts below deg phi; a longer one is no part of a development and is rejected
+        (p, phi), parts = dev
+        parts = tuple(IntPoly([c * p**k for c in cs]) for cs, k in parts)
+        if any(a.degree >= phi.degree for a in parts):
+            with pytest.raises(ValueError, match="below deg base"):
+                PhiExpansion(phi, parts)
+            return
+        exp = PhiExpansion(phi, parts)
         assume(not exp.parts[0].is_zero)
         for side in principal_polygon(exp, p).sides:
             want = residual_coefficients(exp, side, p)

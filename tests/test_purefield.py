@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monocert import arith, fppoly, ore, purefield
-from monocert.polygon import IntPoly, phi_expand, principal_polygon
+from monocert.polygon import IntPoly, phi_expand, principal_from_points, principal_polygon
 from oracles import (
     binomial_discriminant,
     binomial_irreducible_by_factoring,
@@ -17,6 +17,7 @@ from oracles import (
     discriminant,
     family_condition,
     is_canonical,
+    polygon_index_by_columns,
 )
 
 
@@ -378,6 +379,13 @@ class TestConstructGenerator:
                         assert purefield._pure_split(n, c, q) == (split.exact, split.index_valuation), (n, u, q, a)
         # a side of degree 2, (0, 2)--(4, 0): y^2 - 2 is separable mod 3, so the split is exact
         assert purefield._pure_split(4, 18, 3) == (True, 2)
+
+    def test_pure_split_index_is_the_column_count(self):
+        # the one side (0, k)--(n, 0) of x^n - 3^k at 3, counted column by column
+        for n in range(2, 60):
+            for k in range(1, 20):
+                poly = principal_from_points([(0, k), (n, 0)])
+                assert purefield._pure_split(n, 3**k, 3)[1] == polygon_index_by_columns(poly, 1), (n, k)
 
 
 class TestEveryPrimeOfNDividesA:
