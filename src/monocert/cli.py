@@ -41,6 +41,8 @@ def parse_poly(text: str) -> IntPoly:
         exp = 0 if not xpart else int(exp_s) if exp_s else 1
         coeffs[exp] = coeffs.get(exp, 0) + coef
     degree = max(coeffs)
+    if degree > sys.maxsize:
+        raise ValueError(f"degree {degree} is too large for a dense polynomial")
     return IntPoly([coeffs.get(i, 0) for i in range(degree + 1)])
 
 

@@ -143,7 +143,9 @@ def decode(basis: CnsBasis, digits) -> Element:
     """The element of a digit string: the remainder of sum d_i x^i mod G.
 
     One top-down pass of division by the monic G (`_divide_in_place`); each
-    digit costs one product per nonzero coefficient of G below the top.
+    digit costs one product per nonzero coefficient of G below the top, and
+    two for a quadratic G, whose pass keeps both pending coefficients in
+    locals.
     """
     r = _integers(digits)
     if not r:

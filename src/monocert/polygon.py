@@ -170,9 +170,21 @@ def _trimmed(cs: list[int]) -> list[int]:
 def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
     """Divide rest by the monic dv in place: rest[:deg dv] becomes the remainder, rest[deg dv:] the quotient.
 
-    Quotient coefficient k is the value left at rest[k + deg dv]; the loop
-    never multiplies by a zero coefficient of dv.
+    Quotient coefficient k is the value left at rest[k + deg dv].  A
+    quadratic dv = x^2 + a1 x + a0 (the divisor of most non-binomial
+    developments) carries the two pending coefficients below the top in
+    locals, so each quotient coefficient costs one list read, one list
+    write and two products, zero or not.  Every other degree subtracts
+    c * d from the list and never multiplies by a zero coefficient of dv.
     """
+    if len(dv) == 3 and len(rest) > 2:
+        a0, a1 = dv[0], dv[1]
+        c, below = rest[-1], rest[-2]
+        for k in range(len(rest) - 3, -1, -1):
+            rest[k + 2] = c
+            c, below = below - a1 * c, rest[k] - a0 * c
+        rest[1], rest[0] = c, below
+        return
     top = len(dv) - 1
     low = [(j, d) for j, d in enumerate(dv[:top]) if d]
     for k in range(len(rest) - len(dv), -1, -1):
@@ -214,7 +226,10 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     integer operations.  Any other phi is divided into F repeatedly on one
     coefficient list, in place, each remainder sliced off the bottom as the
     next part, until `count` parts are sliced off; c such divisions cost
-    about the (n - cd) cd products of one division by phi^c.
+    about the (n - cd) cd products of one division by phi^c, counted over
+    the nonzero coefficients of phi below the top, except that a quadratic
+    phi, divided with its two pending coefficients in locals, always takes
+    two products per quotient coefficient.
     """
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")

@@ -9,6 +9,8 @@ through IntPoly, principal polygons against a lower convex hull that sorts
 and dedups its own cloud, every IntPoly the engine builds unchecked against
 the public constructor, Ore's index against a column-by-column lattice
 count, the irreducibility test of x^n - m against the rule that factors n,
+in-place division by a monic divisor against the loop that subtracts c * d
+for each nonzero coefficient d below the top,
 and irreducibility over F_p and over F_q = F_p[x]/(base) against trial
 division, the latter with its residue arithmetic done by
 FpPoly division mod base rather than by the factoring engine.  CNS digit
@@ -89,6 +91,21 @@ def binomial_discriminant(n: int, a: int) -> int:
         raise ValueError("a must be nonzero")
     sign = (-1) ** (n * (n - 1) // 2) * (-1) ** (n * n - 1)
     return sign * n**n * a ** (n - 1)
+
+
+def divide_in_place_by_loop(rest: list[int], dv) -> None:
+    """Divide rest by the monic dv in place: rest[:deg dv] becomes the remainder, rest[deg dv:] the quotient.
+
+    Quotient coefficient k is the value left at rest[k + deg dv]; the loop
+    never multiplies by a zero coefficient of dv.
+    """
+    top = len(dv) - 1
+    low = [(j, d) for j, d in enumerate(dv[:top]) if d]
+    for k in range(len(rest) - len(dv), -1, -1):
+        c = rest[k + top]
+        if c:
+            for j, d in low:
+                rest[k + j] -= c * d
 
 
 def decode(exp: PhiExpansion) -> IntPoly:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -40,6 +41,22 @@ class TestParsePoly:
         for bad in ("", "x^", "y+1", "x**"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--p", "3", "--poly"),
+            ("polygon", "--p", "3", "--render", "none", "--poly"),
+            ("cns", "verify", "--radius", "1", "--poly"),
+        ],
+    )
+    def test_exponent_above_maxsize_exits_2(self, capsys, argv):
+        # no dense coefficient list reaches that degree; only exponents above sys.maxsize are tested, since a
+        # smaller huge one would try to allocate
+        degree = sys.maxsize + 1
+        code, out, err = run_cli(capsys, *argv, f"x^{degree}+1")
+        assert code == 2 and out == ""
+        assert err == f"error: degree {degree} is too large for a dense polynomial\n"
 
 
 class TestAnalyzeCommand:
@@ -132,6 +149,13 @@ class TestPolygonCommand:
         assert doc == json.loads(golden.read_text())
         assert [entry["index"] for entry in doc["polygons"]] == [30, 30, 60, 60]
 
+    def test_quadratic_phi_matches_golden(self, capsys):
+        # x^750 - 6 at 5 by x^2 + x + 1, a factor of x^6 - 1 mod 5: 375 divisions by a quadratic phi
+        golden = pathlib.Path(__file__).parent / "data" / "polygon_n750_m6_p5_phi.json"
+        doc = run_json(capsys, "polygon", "--n", "750", "--m", "6", "--p", "5", "--phi", "x^2+x+1", "--render", "none")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+
     def test_svg_is_valid_xml(self, capsys):
         doc = run_json(capsys, "polygon", "--n", "3", "--m", "2", "--p", "2", "--render", "svg")
         svg = doc["polygons"][0]["render"]
@@ -180,6 +204,14 @@ class TestFactorCommand:
         doc = run_json(capsys, "factor", "--n", "30", "--m", "8651", "--p", "5")
         doc.pop("timing")
         assert doc == json.loads(golden.read_text())
+
+    def test_quadratic_factors_match_golden(self, capsys):
+        # x^750 - 6 at 5 has the quadratic factors x^2 + x + 1 and x^2 + 4x + 1 of x^6 - 1 mod 5
+        golden = pathlib.Path(__file__).parent / "data" / "factor_n750_m6_p5.json"
+        doc = run_json(capsys, "factor", "--n", "750", "--m", "6", "--p", "5")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+        assert [s["phi"] for s in doc["split"]["slots"] if len(s["phi"]) == 3] == [[1, 1, 1], [1, 4, 1]]
 
     def test_poly_input(self, capsys):
         doc = run_json(capsys, "factor", "--poly", "x^2-12", "--p", "2")

@@ -19,6 +19,7 @@ from monocert.polygon import (
 from oracles import (
     decode,
     discriminant,
+    divide_in_place_by_loop,
     is_canonical,
     lower_convex_hull,
     polygon_index_by_columns,
@@ -26,6 +27,9 @@ from oracles import (
     residual_coefficients,
     resultant,
 )
+
+# coefficients about +-2^600, far past one machine word
+_huge = st.builds(lambda sign, e: sign * (2**600 + e), st.sampled_from([1, -1]), st.integers(-1000, 1000))
 
 QUARTIC = IntPoly.binomial(4, 17)
 PHI1 = IntPoly([-1, 1])
@@ -46,9 +50,12 @@ class TestIntPoly:
             divmod(IntPoly([1, 1]), IntPoly([1, 2]))
 
     @given(
-        fc=st.lists(st.integers(-20, 20), min_size=1, max_size=9),
-        gc=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        fc=st.lists(st.one_of(st.integers(-20, 20), _huge), min_size=1, max_size=9),
+        gc=st.lists(st.one_of(st.integers(-9, 9), _huge), min_size=1, max_size=5),
     )
+    @example(fc=[5], gc=[3, 0])  # a dividend below a quadratic divisor is its own remainder
+    @example(fc=[-7, 2], gc=[2**600, -(2**600)])
+    @example(fc=[1, 0, 0, 0, 0, 0, 0, 1], gc=[1, 1])  # x^7 + 1 by x^2 + x + 1
     def test_divmod_identity(self, fc, gc):
         f = IntPoly(fc)
         g = IntPoly(gc + [1])
@@ -132,6 +139,8 @@ _binomial_phis = st.builds(
     st.one_of(st.just(0), st.integers(-30, 30)),
 )
 _general_phis = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-10, 10), min_size=1, max_size=4))
+# a nonzero x coefficient: x^2 + a0 is binomial and never divided
+_small_a1 = st.integers(-9, 9).filter(bool)
 _binomial_fs = st.builds(IntPoly.binomial, st.integers(1, 200), st.integers(-50, 50))
 _trinomial_fs = st.integers(2, 120).flatmap(
     lambda n: st.builds(
@@ -172,6 +181,24 @@ class TestPhiExpandOracle:
         for _ in exp.parts:
             power = power * phi
         assert (F - decode(exp)) % power == IntPoly.zero()
+
+    @given(
+        case=st.one_of(
+            st.tuples(st.one_of(_binomial_fs, _trinomial_fs, _dense_fs), st.tuples(st.integers(-9, 9), _small_a1)),
+            # 600-bit coefficients of phi make phi^j huge, so the decode oracle gets short F only
+            st.tuples(
+                st.one_of(_dense_fs, st.builds(IntPoly.binomial, st.integers(1, 40), st.integers(-50, 50))),
+                st.tuples(st.one_of(st.integers(-9, 9), _huge), st.one_of(_small_a1, _huge)),
+            ),
+        )
+    )
+    @example(case=(IntPoly.binomial(150, 6), (1, 1)))  # x^2 + x + 1 divides x^150 - 6 mod 5
+    def test_quadratic_phi_reconstruction(self, case):
+        F, (a0, a1) = case
+        phi = IntPoly([a0, a1, 1])
+        exp = phi_expand(F, phi)
+        assert decode(exp) == F
+        assert len(exp.parts) == F.degree // 2 + 1
 
     @pytest.mark.parametrize("phi", [PHI1, IntPoly.binomial(2, 3), IntPoly([1, 1, 1])])
     @pytest.mark.parametrize("count", [0, -1])
@@ -438,6 +465,25 @@ class TestKernelOracles:
     def test_content_valuation_is_min_of_coefficient_valuations(self, cs, k, p):
         a = IntPoly([c * p**k for c in cs])
         assert polygon._content_valuation(a, p) == min(arith.padic_valuation(p, c) for c in a.coeffs if c)
+
+    @given(
+        rest=st.lists(st.one_of(st.just(0), st.integers(-9, 9), _huge), max_size=60),
+        # a quadratic dv (two coefficients below the top) is drawn about half the time
+        low=st.one_of(
+            st.lists(st.one_of(st.just(0), st.integers(-9, 9), _huge), min_size=2, max_size=2),
+            st.lists(st.one_of(st.just(0), st.integers(-9, 9), _huge), max_size=6),
+        ),
+    )
+    @example(rest=[], low=[3, 4])
+    @example(rest=[5, -6], low=[3, 4])  # no longer than deg dv: left as it is
+    @example(rest=[0, 0, 0, 0, 1], low=[0, 0])  # x^4 by x^2
+    @example(rest=[1, 2, 3, 4, 5, 6, 7], low=[-(2**600), 2**600 + 1])
+    def test_divide_in_place_matches_loop(self, rest, low):
+        dv = tuple(low) + (1,)
+        got, want = list(rest), list(rest)
+        polygon._divide_in_place(got, dv)
+        divide_in_place_by_loop(want, dv)
+        assert got == want
 
     @given(column=st.dictionaries(st.integers(0, 40), st.integers(0, 30), max_size=14), extra=st.data())
     def test_chain_matches_lower_hull(self, column, extra):
