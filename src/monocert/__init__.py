@@ -15,7 +15,6 @@ from .polygon import (
     IntPoly,
     PhiExpansion,
     PrincipalPolygon,
-    ResidualPolynomial,
     Side,
     phi_expand,
     polygon_index,

@@ -4,10 +4,11 @@ For a monic polynomial F and a prime p, every monic irreducible factor of
 F mod p is lifted (coefficients in [0, p), moved by p while the lift
 divides F over Z; `monocert polygon` lifts by the same rule), developed,
 and its principal polygon's residual polynomials are factored over the
-residue extension.  When every residual is separable the splitting is
-exact: each slot is a prime ideal with its ramification index e and
-residue degree f.  Otherwise only the index lower bound is reported, never
-a splitting claim.
+residue extension F_p[x]/(phi_bar), as coefficient tuples of residues over
+the factor phi_bar itself (moving the lift by p leaves phi_bar as it is).
+When every residual is separable the splitting is exact: each slot is a
+prime ideal with its ramification index e and residue degree f.
+Otherwise only the index lower bound is reported, never a splitting claim.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class FactorSlot:
     """One prime ideal above p: lift, side, residual factor, and (e, f).
 
     residual_factor holds the monic factor's coefficients (ascending in y) as
-    residues over phi mod p, in the format of `ResidualPolynomial.coeffs`.
+    residues over phi mod p, in the format `residual_polynomial` returns and
+    `fppoly.fq_factor` takes.
     """
 
     phi: IntPoly
@@ -98,7 +100,9 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
     `_develop` only through part mult: phi_bar^mult exactly divides F mod p,
     so part mult is the first of valuation 0, where the lower hull's
     negative-slope prefix ends.  No later part changes the polygon, its index
-    or its residual polynomials.
+    or its residual polynomials.  Each residual goes to `fppoly.fq_factor`
+    over the phi_bar that `fppoly.factor` returned, so no base is reduced
+    again per side.
     """
     if not F.is_monic:
         raise ValueError("F must be monic")
@@ -117,11 +121,11 @@ def ore_split(F: IntPoly, p: int) -> PrimeSplit:
         index_val += polygon_index(poly, degphi)
         for side_index, side in enumerate(poly.sides):
             res = residual_polynomial(exp, side, p)
-            if not res.is_separable():
+            if not fppoly.fq_is_separable(phi_bar, res):
                 exact = False
                 continue
             e = side.ram_index
-            for factor_coeffs, fmult in fppoly.fq_factor(res.base, res.coeffs):
+            for factor_coeffs, fmult in fppoly.fq_factor(phi_bar, res):
                 slots.append(FactorSlot(phi, side_index, factor_coeffs, fmult, e, degphi * (len(factor_coeffs) - 1)))
     slots.sort(key=lambda s: (s.phi.coeffs, s.side_index, s.residual_factor))
     return PrimeSplit(p, tuple(slots), exact, index_val)

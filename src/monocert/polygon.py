@@ -1,4 +1,7 @@
-"""Integer polynomials, phi-adic developments, principal Newton polygons.
+"""Integer polynomials, phi-adic developments, principal Newton polygons and their residual polynomials.
+
+A residual polynomial is its coefficient tuple, each coefficient a residue
+over phi mod p, in the format `fppoly.fq_factor` takes.
 
 All geometry is exact: cloud points are integer pairs, hull comparisons are
 integer cross products, slopes are Fractions in lowest terms.
@@ -14,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import arith
-from .fppoly import FpPoly, _fmt_poly, _int_pmul, fq_is_separable, is_irreducible
+from .fppoly import FpPoly, _check_modulus, _fmt_poly, _int_pmul, is_irreducible
 
 
 class IntPoly:
@@ -417,70 +420,35 @@ def polygon_index(poly: PrincipalPolygon, degphi: int) -> int:
     return degphi * sum(_points_under(side.start, side.end) for side in poly.sides)
 
 
-@dataclass(frozen=True)
-class ResidualPolynomial:
-    """Residual polynomial of a side, with coefficients in F_p[x]/(base), base = phi_bar.
+def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[int, ...], ...]:
+    """Residual polynomial attached to a side of the principal polygon, as its coefficient tuple.
 
-    coeffs[j] is the coefficient of y^j as a residue: its reduced coefficient
-    tuple over base, ints in [0, p), constant first, trimmed, () for zero.
+    coeffs[j], the coefficient of y^j, comes from the development part at
+    abscissa s + j*e, where the side is at height t: part / p^t reduced mod
+    p, as a residue over phi_bar = base mod p (ints in [0, p), constant
+    first, trimmed, () for zero), the format `fppoly.fq_factor` takes.  The
+    gcd of the part's coefficients is divisible by p^t exactly when its
+    cloud point is on or above the side, and a part strictly above the side,
+    or a zero part, reduces to ().  Every part is below deg phi
+    (`PhiExpansion` checks it), so the reduction mod p is already reduced
+    modulo phi_bar.  A side reaching past the last developed part is
+    rejected, since a prefix development does not know the parts beyond it.
     """
-
-    base: FpPoly
-    side: Side
-    coeffs: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_separable(self) -> bool:
-        return fq_is_separable(self.base, self.coeffs)
-
-    def __str__(self) -> str:
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = _fmt_poly(c)
-            cs = cs if len(c) < 2 else f"({cs})"
-            parts.append(cs if i == 0 else (f"y^{i}" if cs == "1" else f"{cs}*y^{i}"))
-        return " + ".join(parts).replace("y^1", "y") or "0"
-
-
-def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> ResidualPolynomial:
-    """Residual polynomial attached to a side of the principal polygon.
-
-    Coefficient j comes from the development part at abscissa s + j*e: zero if
-    the cloud point lies strictly above the side, otherwise part / p^valuation
-    reduced mod p, as a residue tuple (see ResidualPolynomial).  Every part is
-    below deg phi (`PhiExpansion` checks it), so the reduction mod p is
-    already reduced modulo phi.  A side reaching past the last developed part
-    is rejected, since a prefix development does not know the parts beyond it.
-    """
-    phi_bar = exp.base.reduce_mod(p)  # proves p prime
+    _check_modulus(p)
     (s, ys) = side.start
     e, d = side.ram_index, side.side_degree
     step = side.height // d
     if side.end[0] >= len(exp.parts):
         raise ValueError("side runs past the developed parts")
+    if side.end[1] < 0:
+        raise ValueError("side endpoints must lie on the polygon")
     coeffs = []
     for j in range(d + 1):
-        i = s + j * e
-        target = ys - j * step
-        part = exp.parts[i]
-        if part.is_zero:
-            coeffs.append(())
-            continue
-        v = _content_valuation(part, p)
-        if v < target:
+        part = exp.parts[s + j * e].coeffs
+        pt = p ** (ys - j * step)
+        if math.gcd(*part) % pt:
             raise ValueError("side does not bound the development cloud")
-        if v > target:
-            coeffs.append(())
-        else:
-            # v is the content valuation of part, so every division is exact
-            pv = p**v
-            coeffs.append(tuple(_trimmed([c // pv % p for c in part.coeffs])))
+        coeffs.append(tuple(_trimmed([c // pt % p for c in part])))
     if not coeffs[0] or not coeffs[-1]:
         raise ValueError("side endpoints must lie on the polygon")
-    return ResidualPolynomial(phi_bar, side, tuple(coeffs))
+    return tuple(coeffs)

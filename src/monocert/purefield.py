@@ -108,13 +108,18 @@ def binomial_irreducible(n: int, m: int) -> bool:
 
 
 def _check_field(n: int, m: int) -> None:
-    """Raise ValueError unless n >= 3, |m| >= 2 and x^n - m is irreducible over Q."""
+    """Raise ValueError unless n >= 3 and |m| >= 2.
+
+    Irreducibility is tested once, by `theorem_general_test`.  No route that
+    runs before it answers a reducible binomial: the generator route needs
+    m = a^u with a squarefree and gcd(u, n) = 1, and then x^n - a^u is
+    irreducible by Capelli, as a q-th power forces q | u and -4k^4 forces u
+    even.
+    """
     if n < 3:
         raise ValueError("n >= 3 required")
     if abs(m) < 2:
         raise ValueError("|m| >= 2 required")
-    if not binomial_irreducible(n, m):
-        raise ValueError(f"x^{n} - ({m}) is reducible over Q")
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,8 @@ def theorem_general_test(n: int, m: int, notes: list[str] | None = None) -> Mono
     so n may be huge.  This loop is the one place `analyze` factors n.  A
     composite cofactor of n that rho does not split within its budget is
     skipped, its primes untried; when nothing fires, a line naming its bit
-    size goes to notes.
+    size goes to notes.  A reducible x^n - m raises a ValueError; this is
+    the one irreducibility test in `analyze` (see `_check_field`).
     """
     if not binomial_irreducible(n, m):
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")

@@ -213,6 +213,22 @@ class TestFactorCommand:
         assert doc == json.loads(golden.read_text())
         assert [s["phi"] for s in doc["split"]["slots"] if len(s["phi"]) == 3] == [[1, 1, 1], [1, 4, 1]]
 
+    def test_inseparable_residual_matches_golden(self, capsys):
+        # (x^2 + x + 1)^2 mod 2: the residual y^2 + 1 = (y + 1)^2 over F_4 is inseparable, so no split is claimed
+        golden = pathlib.Path(__file__).parent / "data" / "factor_quartic_inseparable_p2.json"
+        doc = run_json(capsys, "factor", "--poly", "x^4+2x^3+3x^2+2x+5", "--p", "2")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+        assert (doc["split"]["exact"], doc["split"]["index_valuation"], doc["split"]["slots"]) == (False, 2, [])
+
+    def test_residual_split_over_f4_matches_golden(self, capsys):
+        # x^6 - 5 at 2: over x^2 + x + 1 a degree-2 side whose residual splits into two linear factors over F_4
+        golden = pathlib.Path(__file__).parent / "data" / "factor_n6_m5_p2.json"
+        doc = run_json(capsys, "factor", "--n", "6", "--m", "5", "--p", "2")
+        doc.pop("timing")
+        assert doc == json.loads(golden.read_text())
+        assert [s["phi"] for s in doc["split"]["slots"]] == [[1, 1], [1, 1, 1], [1, 1, 1]]
+
     def test_poly_input(self, capsys):
         doc = run_json(capsys, "factor", "--poly", "x^2-12", "--p", "2")
         assert doc["split"]["exact"] is False

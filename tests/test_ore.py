@@ -184,6 +184,12 @@ class TestExtensionResiduals:
         assert sorted((s.e, s.f) for s in split.slots) == [(1, 2), (1, 2)]
         assert split.index_valuation == 2
 
+    def test_slot_residual_factors_over_f4(self):
+        # x^6 - 5 at 2 over x^2 + x + 1 (a root w): the residual w*y^2 + (w + 1)*y + 1 has the roots 1 and
+        # 1/w = w + 1, so its two slots hold the monic factors y + 1 and y + w + 1
+        split = ore.ore_split(IntPoly.binomial(6, 5), 2)
+        assert [s.residual_factor for s in split.slots if s.phi.coeffs == (1, 1, 1)] == [((1,), (1,)), ((1, 1), (1,))]
+
     def test_residual_inert_over_f4(self):
         phi = IntPoly([1, 1, 1])
         F = phi * phi + phi * IntPoly([0, 2]) + IntPoly([0, 4])

@@ -350,9 +350,9 @@ class TestResidualPolynomial:
         poly = principal_polygon(exp, 2)
         for side in poly.sides:
             res = residual_polynomial(exp, side, 2)
-            assert res.degree == 1
-            assert res.coeffs == ((1,), (1,))  # y + 1 each time
-            assert res.is_separable()
+            assert len(res) - 1 == 1
+            assert res == ((1,), (1,))  # y + 1 each time
+            assert fppoly.fq_is_separable(exp.base.reduce_mod(2), res)
 
     def test_interior_point_above_gives_zero(self):
         # x^2 - 12 at 2: side (0,2)-(2,0), the middle column is absent
@@ -360,9 +360,9 @@ class TestResidualPolynomial:
         poly = principal_polygon(exp, 2)
         (side,) = poly.sides
         res = residual_polynomial(exp, side, 2)
-        assert res.degree == 2
-        assert res.coeffs[1] == ()
-        assert not res.is_separable()  # y^2 + 1 is a square mod 2
+        assert len(res) - 1 == 2
+        assert res[1] == ()
+        assert not fppoly.fq_is_separable(exp.base.reduce_mod(2), res)  # y^2 + 1 is a square mod 2
 
     def test_endpoints_nonzero(self):
         rng = random.Random(5)
@@ -381,19 +381,19 @@ class TestResidualPolynomial:
                 continue
             for side in poly.sides:
                 res = residual_polynomial(exp, side, p)
-                assert res.coeffs[0] != ()
-                assert res.coeffs[-1] != ()
-                assert res.degree == side.side_degree
+                assert res[0] != ()
+                assert res[-1] != ()
+                assert len(res) - 1 == side.side_degree
                 checked += 1
 
-    def test_str_over_extension(self):
-        # x^6 - 5 at 2 over phi = x^2 + x + 1: residue coefficients of degree 1 are parenthesised
+    def test_coeffs_over_extension(self):
+        # x^6 - 5 at 2 over phi = x^2 + x + 1: x*y^2 + (x + 1)*y + 1 over F_4, two linear factors
         F = IntPoly.binomial(6, 5)
         exp = phi_expand(F, IntPoly([1, 1, 1]))
         (side,) = principal_polygon(exp, 2).sides
         res = residual_polynomial(exp, side, 2)
-        assert res.coeffs == ((1,), (1, 1), (0, 1))
-        assert str(res) == "(x)*y^2 + (x + 1)*y + 1"
+        assert res == ((1,), (1, 1), (0, 1))
+        assert [(len(g) - 1, mult) for g, mult in fppoly.fq_factor(exp.base.reduce_mod(2), res)] == [(1, 1), (1, 1)]
 
     def test_unreduced_development_rejected(self):
         # a constant part 2x^3 reaches past deg phi = 2, so it belongs to no development in powers of x^2 + x + 1
@@ -410,7 +410,7 @@ class TestResidualPolynomial:
         full = phi_expand(QUARTIC, PHI1)
         prefix = phi_expand(QUARTIC, PHI1, count=3)
         side = Side((2, 1), (4, 0))
-        assert residual_polynomial(full, side, 2).coeffs == ((1,), (1,))
+        assert residual_polynomial(full, side, 2) == ((1,), (1,))
         with pytest.raises(ValueError, match="past"):
             residual_polynomial(prefix, side, 2)
         with pytest.raises(ValueError, match="past"):
@@ -435,7 +435,7 @@ class TestResidualPolynomial:
                             exp = phi_expand(F, IntPoly.lift(phi_bar), count=mult + 1)
                             for side in principal_polygon(exp, p).sides:
                                 res = residual_polynomial(exp, side, p)
-                                assert res.coeffs == residual_coefficients(exp, side, p), (n, m, p, phi_bar, side)
+                                assert res == residual_coefficients(exp, side, p), (n, m, p, phi_bar, side)
                                 checked += 1
         assert checked > 3000
 
@@ -540,7 +540,36 @@ class TestKernelOracles:
         for side in principal_polygon(exp, p).sides:
             want = residual_coefficients(exp, side, p)
             if want[0] and want[-1]:
-                assert residual_polynomial(exp, side, p).coeffs == want
+                assert residual_polynomial(exp, side, p) == want
             else:
                 with pytest.raises(ValueError, match="endpoints"):
                     residual_polynomial(exp, side, p)
+
+    def test_residual_route_examples(self):
+        # the one coefficient route (p^t divides the gcd, then c // p^t % p) against the IntPoly route
+        big = 2**600
+        cases = [
+            (2, IntPoly([1, 1, 1]), [[4], [], [1]]),  # a zero interior part
+            (2, IntPoly([1, 1, 1]), [[4, 4], [8], [1, 1]]),  # an interior part strictly above the side
+            (3, IntPoly([1, 0, 1]), [[-81 * big, 27], [9 * (big + 1), -18], [-3 * big], [1]]),  # negative, +-2^600
+            (5, IntPoly([3, 1]), [[-125 * (big + 1)], [25 * big], [-5], [-1 - big]]),
+        ]
+        for p, phi, parts in cases:
+            exp = PhiExpansion(phi, tuple(IntPoly(cs) for cs in parts))
+            sides = principal_polygon(exp, p).sides
+            assert sides
+            for side in sides:
+                assert residual_polynomial(exp, side, p) == residual_coefficients(exp, side, p), (p, parts, side)
+        assert residual_polynomial(exp, sides[0], p) == ((3,), (1,), (4,), (3,))  # 2^600 = 1 mod 5
+        exp = PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([16]), IntPoly([2]), IntPoly([1])))
+        # a part below the side
+        with pytest.raises(ValueError, match="does not bound"):
+            residual_polynomial(exp, Side((0, 4), (2, 0)), 2)
+        # a composite p, rejected by both routes
+        for route in (residual_polynomial, residual_coefficients):
+            with pytest.raises(ValueError, match="modulus 4 is not prime"):
+                route(exp, Side((0, 4), (2, 0)), 4)
+        # a side that ends below the x-axis, where no part's valuation lies
+        below = PhiExpansion(IntPoly([1, 0, 1]), (IntPoly([3]), IntPoly([1]), IntPoly([1])))
+        with pytest.raises(ValueError, match="endpoints"):
+            residual_polynomial(below, Side((0, 1), (2, -1)), 3)

@@ -111,6 +111,41 @@ class TestCheckField:
         with pytest.raises(ValueError, match="reducible"):
             purefield.analyze(6, 64)
 
+    def test_generator_route_never_answers_a_reducible_binomial(self):
+        # analyze tests irreducibility only in theorem_general_test, after the generator route; so on every
+        # reducible x^n - m, n = 3..128, |m| <= 3000 or m = +-2^k or 6^k, the screen must return None and no
+        # a^u = m may make construct_generator succeed.  x^4620 - m is irreducible iff m is no q-th power for a
+        # prime q <= 11 and no -4k^4 (4620 = 4 * 3 * 5 * 7 * 11), and then so is every x^n - m with |m| <= 3000
+        small = [m for m in range(-3000, 3001) if abs(m) >= 2 and not purefield.binomial_irreducible(4620, m)]
+        powers = [m for k in range(2, 65) for m in (2**k, -(2**k), 6**k)]
+        cases = {(n, m) for m in small + powers for n in range(3, 129) if not purefield.binomial_irreducible(n, m)}
+        assert len(cases) == 11966
+        for m in set(small + powers):
+            roots = [(u, purefield._kth_root(abs(m), u)) for u in range(2, abs(m).bit_length())]
+            reps = [(-r if m < 0 else r, u) for u, r in roots if r is not None and (m > 0 or u % 2)]
+            for n in range(3, 129):
+                if (n, m) not in cases:
+                    continue
+                assert purefield.detect_power_decomposition(n, m) is None, (n, m)
+                for a, u in reps:
+                    with pytest.raises(ValueError):
+                        purefield.construct_generator(n, a, u)
+
+    def test_analyze_tests_irreducibility_once(self, monkeypatch):
+        calls = []
+        real = purefield.binomial_irreducible
+        monkeypatch.setattr(purefield, "binomial_irreducible", lambda n, m: calls.append((n, m)) or real(n, m))
+        assert purefield.analyze(12, 7).status == "inconclusive"
+        assert calls == [(12, 7)]
+        calls.clear()
+        with pytest.raises(ValueError, match="reducible"):
+            purefield.analyze(6, 64)
+        assert calls == [(6, 64)]
+        # the generator route needs none: 36 = 6^2 with 6 squarefree and gcd(2, 3) = 1
+        calls.clear()
+        assert purefield.analyze(3, 36).status == "monogenic"
+        assert calls == []
+
 
 class TestClosedFormPolygon:
     def test_matches_direct_computation(self):
