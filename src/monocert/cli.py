@@ -179,15 +179,16 @@ def render_svg(poly) -> str:
 # Report plumbing.
 
 
-def _report(config: dict, payload: dict, started: float) -> dict:
-    report = {
+def _report(args, payload: dict, started: float) -> dict:
+    """A command's payload between the header (schema, tool, the echo of its `echo` keys) and the timing."""
+    config = {k: getattr(args, k) for k in args.echo if getattr(args, k, None) is not None}
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "monocert", "version": __version__},
-        "config": config,
+        "config": config | {"command": args.command},
+        **payload,
+        "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    report.update(payload)
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    return report
 
 
 def _flatten(prefix: str, value, out: list[str]) -> None:
@@ -218,16 +219,16 @@ _SEARCH_COLUMNS = (
 )
 
 
-def _emit(report: dict, args, rows_key: str | None = None) -> str:
+def _emit(report: dict, args) -> str:
     if args.format == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.format == "csv":
-        if rows_key is None:
+        if "rows" not in report:
             raise ValueError("csv format is only available for analyze and search")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_SEARCH_COLUMNS, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
-        for row in report[rows_key]:
+        for row in report["rows"]:
             writer.writerow({k: row.get(k, "") for k in _SEARCH_COLUMNS})
         return buf.getvalue()
     lines: list[str] = []
@@ -247,10 +248,6 @@ def _write_output(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None} | {"command": args.command}
-
-
 def _verdict_row(verdict: purefield.MonogenityVerdict) -> dict:
     d = verdict.to_json_dict()
     row = {k: d[k] for k in _SEARCH_COLUMNS if k in d}
@@ -263,13 +260,12 @@ def _verdict_row(verdict: purefield.MonogenityVerdict) -> dict:
 # Commands.
 
 
-def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
+# Each command returns its report payload; `main` wraps, emits and writes it.
+
+
+def _cmd_analyze(args) -> dict:
     verdict = purefield.analyze(args.n, args.m)
-    payload = {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(verdict)]}
-    config = _config_echo(args, ("n", "m", "format"))
-    _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
-    return 0
+    return {"verdict": verdict.to_json_dict(), "rows": [_verdict_row(verdict)]}
 
 
 def _input_poly(args) -> IntPoly:
@@ -280,8 +276,7 @@ def _input_poly(args) -> IntPoly:
     return IntPoly.binomial(args.n, args.m)
 
 
-def _cmd_polygon(args) -> int:
-    started = time.perf_counter()
+def _cmd_polygon(args) -> dict:
     F = _input_poly(args)
     if not F.is_monic:
         raise ValueError("polynomial must be monic")
@@ -309,20 +304,12 @@ def _cmd_polygon(args) -> int:
         elif args.render == "svg":
             entry["render"] = render_svg(poly)
         entries.append(entry)
-    payload = {"p": args.p, "polynomial": list(F.coeffs), "polygons": entries}
-    config = _config_echo(args, ("n", "m", "poly", "p", "phi", "render", "format"))
-    _write_output(_emit(_report(config, payload, started), args), args)
-    return 0
+    return {"p": args.p, "polynomial": list(F.coeffs), "polygons": entries}
 
 
-def _cmd_factor(args) -> int:
-    started = time.perf_counter()
+def _cmd_factor(args) -> dict:
     F = _input_poly(args)
-    split = ore.ore_split(F, args.p)
-    payload = {"polynomial": list(F.coeffs), "split": split.to_json_dict()}
-    config = _config_echo(args, ("n", "m", "poly", "p", "format"))
-    _write_output(_emit(_report(config, payload, started), args), args)
-    return 0
+    return {"polynomial": list(F.coeffs), "split": ore.ore_split(F, args.p).to_json_dict()}
 
 
 def _analyze_task(task) -> dict:
@@ -344,8 +331,7 @@ def _generator_task(task) -> dict:
         return {"n": n, "m": a**u, "status": "error", "error": str(exc)}
 
 
-def _cmd_search(args) -> int:
-    started = time.perf_counter()
+def _cmd_search(args) -> dict:
     if args.mode == "analyze":
         if not args.n_set and not args.n_range:
             raise ValueError("search --mode analyze needs --n-set or --n-range")
@@ -365,14 +351,10 @@ def _cmd_search(args) -> int:
         rows = [worker(t) for t in tasks]
     rows.sort(key=lambda r: (r["n"], r["m"]))
     errors = sum(1 for r in rows if r.get("status") == "error")
-    payload = {"columns": list(_SEARCH_COLUMNS), "rows": rows, "errors": errors}
-    config = _config_echo(args, ("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "jobs", "format"))
-    _write_output(_emit(_report(config, payload, started), args, rows_key="rows"), args)
-    return 0 if errors == 0 else 1
+    return {"columns": list(_SEARCH_COLUMNS), "rows": rows, "errors": errors}
 
 
-def _cmd_cns(args) -> int:
-    started = time.perf_counter()
+def _cmd_cns(args) -> dict:
     basis = cns.CnsBasis(parse_poly(args.poly), args.digit_mode)
     if args.cns_command == "encode":
         element = _parse_int_list(args.element)
@@ -385,9 +367,7 @@ def _cmd_cns(args) -> int:
         report = cns.verify_box(basis, args.radius, args.step_cap)
         payload = {"radius": args.radius, "box": report.to_json_dict()}
     payload["basis"] = {"poly": list(basis.G.coeffs), "digit_base": basis.digit_base, "digit_mode": basis.digit_mode}
-    config = _config_echo(args, ("poly", "digit_mode", "element", "digits", "radius", "step_cap", "format"))
-    _write_output(_emit(_report(config, payload, started), args), args)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", parents=[common], help="monogenity verdict for x^n - m")
     p_an.add_argument("--n", type=int, required=True)
     p_an.add_argument("--m", type=int, required=True)
-    p_an.set_defaults(func=_cmd_analyze)
+    p_an.set_defaults(func=_cmd_analyze, echo=("n", "m", "format"))
 
     p_pg = sub.add_parser("polygon", parents=[common], help="principal polygon data and drawing")
     _add_common_poly_args(p_pg)
     p_pg.add_argument("--phi", type=str, default=None, help="explicit base polynomial")
     p_pg.add_argument("--render", choices=("ascii", "svg", "none"), default="ascii")
-    p_pg.set_defaults(func=_cmd_polygon)
+    p_pg.set_defaults(func=_cmd_polygon, echo=("n", "m", "poly", "p", "phi", "render", "format"))
 
     p_fa = sub.add_parser("factor", parents=[common], help="raw prime-splitting data at p")
     _add_common_poly_args(p_fa)
-    p_fa.set_defaults(func=_cmd_factor)
+    p_fa.set_defaults(func=_cmd_factor, echo=("n", "m", "poly", "p", "format"))
 
     p_se = sub.add_parser("search", parents=[common], help="batch campaign over parameter ranges")
     p_se.add_argument("--mode", choices=("analyze", "generator"), default="analyze")
@@ -432,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--a-range", dest="a_range", type=str, default=None, help="generator mode: base range a:b")
     p_se.add_argument("--u", type=int, default=None, help="generator mode: exponent")
     p_se.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_se.set_defaults(func=_cmd_search)
+    p_se.set_defaults(
+        func=_cmd_search, echo=("mode", "n", "n_set", "n_range", "m_range", "a_range", "u", "jobs", "format")
+    )
 
     p_cn = sub.add_parser("cns", help="digit-system tooling")
     cns_sub = p_cn.add_subparsers(dest="cns_command", required=True)
@@ -447,21 +429,29 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--digits", type=str, required=True, help="comma-separated digits, least significant first")
         else:
             sp.add_argument("--radius", type=int, required=True)
-        sp.set_defaults(func=_cmd_cns)
+        sp.set_defaults(func=_cmd_cns, echo=("poly", "digit_mode", "element", "digits", "radius", "step_cap", "format"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Exit 1 on search error rows, 2 on a rejected input or --out path, 3 on a failed self-check."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        payload = args.func(args)
+        text = _emit(_report(args, payload, started), args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except purefield.SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        _write_output(text, args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 1 if payload.get("errors") else 0
 
 
 if __name__ == "__main__":

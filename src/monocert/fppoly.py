@@ -40,10 +40,10 @@ never stored, so it raises as it would uncached.  Results are immutable, so
 a hit returns the stored object.  x^n - m mod p depends only on m mod p, so
 along a window of consecutive m the same inputs come back every p values of
 m.  In one pass over the benchmark's `campaign` schedule (seed 1: 240 items,
-windows of 80 consecutive m for n = 12, 27, 30), 793 of the 833 `factor`
-calls (40 distinct inputs) and 1340 of the 1468 `fq_factor` calls (128)
-repeat an earlier input; 614 of those `factor` calls come through
-`is_irreducible`, and half of those `fq_factor` calls through
+windows of 80 consecutive m for n = 12, 27, 30), 494 of the 527 `factor`
+calls (33 distinct inputs) and 780 of the 890 `fq_factor` calls (110)
+repeat an earlier input; 375 of those `factor` calls come through
+`is_irreducible`, and half of those `fq_factor` calls (445) through
 `fq_is_separable`.  The caches live as long as the process, so `search`
 reuses results across its rows; a one-shot `analyze` has nothing to reuse.
 One cache is keyed by an integer input: `_check_modulus` remembers every
@@ -61,7 +61,7 @@ from typing import Iterable, Sequence
 
 from . import arith
 
-_CACHE_SIZE = 1024  # results per cached function; above the 128 distinct keys of a campaign pass
+_CACHE_SIZE = 1024  # results per cached function; above the 110 distinct keys of a campaign pass
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,9 +175,6 @@ class FpPoly:
 
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         self._same(other)
-        if len(self.coeffs) < len(other.coeffs):
-            # already reduced (residual-polynomial units mostly are): no copy
-            return FpPoly._wrap(self.p, []), self
         quot, rem = _PrimeField(self.p).pdivmod(self.coeffs, other.coeffs)
         return FpPoly._wrap(self.p, quot), FpPoly._wrap(self.p, rem)
 
@@ -228,6 +225,9 @@ class _PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
     def from_int(self, k: int):
         return k % self.p
 
@@ -244,7 +244,7 @@ class _PrimeField:
 
     def pmul(self, f, g):
         p = self.p
-        return _trim(self, [c % p for c in _int_pmul(f, g)])
+        return _trimmed([c % p for c in _int_pmul(f, g)])
 
     def pdivmod(self, f, g):
         if not g:
@@ -263,15 +263,16 @@ class _PrimeField:
                 quot[k] = c
                 for j, d in enumerate(low, k):
                     rem[j] -= c * d
-        return quot, _trim(self, [c % p for c in rem[:n]])
+        return quot, _trimmed([c % p for c in rem[:n]])
 
 
 class _ExtField:
     """F_p[x]/(phi), deg phi >= 2, on residue tuples.
 
-    Multiplying is the `_PrimeField` product reduced mod phi; inverting is
-    extended Euclid modulo phi.  Polynomials over it multiply and divide by
-    the dense loops below, through these element operations.
+    Multiplying is the `_PrimeField` product reduced mod phi, powering is
+    `_ppow_mod` modulo phi; inverting is extended Euclid modulo phi.
+    Polynomials over it multiply and divide by the dense loops below, through
+    these element operations.
     """
 
     __slots__ = ("base", "char", "order", "ext_degree", "_F")
@@ -302,13 +303,16 @@ class _ExtField:
             raise ValueError("base is not irreducible: residue has no inverse")
         return tuple(inv)
 
+    def pow(self, a, e):
+        return tuple(_ppow_mod(self._F, a, e, self.base.coeffs))
+
     def from_int(self, k: int):
         k %= self.char
         return (k,) if k else ()
 
     def rand(self, rng: random.Random):
         p = self.char
-        return tuple(_trim(self._F, [rng.randrange(p) for _ in range(self.ext_degree)]))
+        return tuple(_trimmed([rng.randrange(p) for _ in range(self.ext_degree)]))
 
     def from_residue(self, c):
         return c
@@ -319,19 +323,18 @@ class _ExtField:
     def pmul(self, f, g):
         if not f or not g:
             return []
-        zero, add, mul = self.zero, self.add, self.mul
-        out = [zero] * (len(f) + len(g) - 1)
+        add, mul = self.add, self.mul
+        out = [self.zero] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
-            if a == zero:
-                continue
-            for j, b in enumerate(g, i):
-                out[j] = add(out[j], mul(a, b))
-        return _trim(self, out)
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] = add(out[j], mul(a, b))
+        return _trimmed(out)
 
     def pdivmod(self, f, g):
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
-        zero, one, add, neg, mul = self.zero, self.one, self.add, self.neg, self.mul
+        one, add, neg, mul = self.one, self.add, self.neg, self.mul
         rem = list(f)
         n = len(g) - 1
         if len(rem) <= n:
@@ -340,15 +343,15 @@ class _ExtField:
         # divisor, needs neither its lead's inverse nor products by it
         inv_lc = one if g[-1] == one else self.inv(g[-1])
         low = g[:n]
-        quot = [zero] * (len(rem) - n)
+        quot = [self.zero] * (len(rem) - n)
         for k in range(len(quot) - 1, -1, -1):
             c = rem[k + n] if inv_lc == one else mul(rem[k + n], inv_lc)
-            if c != zero:
+            if c:
                 quot[k] = c
                 minus_c = neg(c)
                 for j, d in enumerate(low, k):
                     rem[j] = add(rem[j], mul(minus_c, d))
-        return _trim(self, quot), _trim(self, rem[:n])
+        return _trimmed(quot), _trimmed(rem[:n])
 
 
 def _fq_backend(base: FpPoly):
@@ -367,10 +370,14 @@ def _check_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> None:
             raise ValueError(f"coefficient {c!r} is not a reduced residue modulo {base}")
 
 
-def _trim(K, f):
-    while f and f[-1] == K.zero:
-        f.pop()
-    return f
+def _trimmed(cs: list) -> list:
+    """cs without its zero top coefficients, trimmed in place.
+
+    Zero is falsy in both backends (0 and ()), and in `polygon.IntPoly`'s ints.
+    """
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def _int_pmul(f, g):
@@ -390,7 +397,7 @@ def _padd(K, f, g):
         f, g = g, f
     out = [K.add(a, b) for a, b in zip(f, g)]
     out += f[len(g) :]
-    return _trim(K, out)
+    return _trimmed(out)
 
 
 def _psub(K, f, g):
@@ -398,7 +405,7 @@ def _psub(K, f, g):
 
 
 def _pscale(K, f, c):
-    return _trim(K, [K.mul(a, c) for a in f])
+    return _trimmed([K.mul(a, c) for a in f])
 
 
 def _pmod(K, f, g):
@@ -444,27 +451,13 @@ def _ppow_mod(K, f, e, mod):
 
 
 def _pderiv(K, f):
-    return _trim(K, [K.mul(c, K.from_int(i)) for i, c in enumerate(f)][1:])
+    return _trimmed([K.mul(c, K.from_int(i)) for i, c in enumerate(f)][1:])
 
 
 def _pth_root(K, f):
     # inverse Frobenius on coefficients: c -> c**(order/char)
-    p = K.char
-    e = K.order // p
-    root = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        if e > 1:
-            acc = K.one
-            b, k = c, e
-            while k:
-                if k & 1:
-                    acc = K.mul(acc, b)
-                b = K.mul(b, b)
-                k >>= 1
-            c = acc
-        root.append(c)
-    return _trim(K, root)
+    e = K.order // K.char
+    return _trimmed([K.pow(c, e) for c in f[:: K.char]])
 
 
 def _distinct_degree(K, f):
@@ -494,7 +487,7 @@ def _equal_degree(K, f, d, rng):
         return [f]
     q = K.order
     while True:
-        a = _trim(K, [K.rand(rng) for _ in range(n)])
+        a = _trimmed([K.rand(rng) for _ in range(n)])
         if len(a) < 1:
             continue
         g = _pgcd(K, a, f)
@@ -638,7 +631,7 @@ def fq_factor(
     """
     _check_residues(base, coeffs)
     K = _fq_backend(base)
-    f = _trim(K, [K.from_residue(c) for c in coeffs])
+    f = _trimmed([K.from_residue(c) for c in coeffs])
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if len(f) == 1:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import arith
-from .fppoly import FpPoly, _check_modulus, _fmt_poly, _int_pmul, is_irreducible
+from .fppoly import FpPoly, _check_modulus, _fmt_poly, _int_pmul, _trimmed, is_irreducible
 
 
 class IntPoly:
@@ -161,13 +161,6 @@ def _integers(values: Iterable) -> list[int]:
         except TypeError:
             raise ValueError(f"{v!r} is not an integer") from None
     return out
-
-
-def _trimmed(cs: list[int]) -> list[int]:
-    """cs without its zero top coefficients, trimmed in place."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
 
 
 def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:

@@ -147,26 +147,6 @@ class MonogenityVerdict:
         w = witness
         return cls("not_monogenic", provenance, n, m, w.p, w.d, w.ideal_count, w.irreducible_count, notes=tuple(notes))
 
-    @classmethod
-    def monogenic(cls, n, m, provenance, t, s, G, a, u, alpha_index_bound, notes=()):
-        return cls(
-            status="monogenic",
-            provenance=provenance,
-            n=n,
-            m=m,
-            t=t,
-            s=s,
-            generator_poly=G,
-            generator_base=a,
-            generator_exponent=u,
-            alpha_index_bound=alpha_index_bound,
-            notes=tuple(notes),
-        )
-
-    @classmethod
-    def inconclusive(cls, n, m, notes=()):
-        return cls(status="inconclusive", provenance="none", n=n, m=m, notes=tuple(notes))
-
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status, "provenance": self.provenance, "n": self.n, "m": self.m}
         if self.status == "not_monogenic":
@@ -524,17 +504,18 @@ def construct_generator(n: int, a: int, u: int) -> MonogenityVerdict:
         if index_f < alpha_bound:
             raise SelfCheckError(f"defining-root index bound failed at q={q}")
         notes.append(f"q={q}: generator index valuation 0; defining-root index valuation >= {alpha_bound}")
-    return MonogenityVerdict.monogenic(
+    return MonogenityVerdict(
+        "monogenic",
+        "generator-construction",
         n,
         a**u,
-        provenance="generator-construction",
         t=t,
         s=s,
-        G=G,
-        a=a,
-        u=u,
+        generator_poly=G,
+        generator_base=a,
+        generator_exponent=u,
         alpha_index_bound=alpha_bound,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 
@@ -607,4 +588,4 @@ def analyze(n: int, m: int) -> MonogenityVerdict:
         notes.append(f"no common index divisor among primes {candidates}")
     else:
         notes.append(f"degree {n} exceeds the direct-split budget {_SPLIT_DEGREE_BUDGET}")
-    return MonogenityVerdict.inconclusive(n, m, notes)
+    return MonogenityVerdict("inconclusive", "none", n, m, notes=tuple(notes))

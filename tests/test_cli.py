@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from monocert import purefield
+from monocert import __version__, purefield
 from monocert.cli import main, parse_poly, render_ascii
 from monocert.polygon import IntPoly, principal_from_points
 
@@ -324,6 +324,45 @@ class TestOutputPlumbing:
         assert code == 0 and out == ""
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["verdict"]["status"] == "not_monogenic"
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "analyze", "--n", "4", "--m", "17", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("analyze", "--n", "4", "--m", "17"), 0),
+            (("polygon", "--n", "4", "--m", "17", "--p", "2"), 0),
+            (("factor", "--n", "4", "--m", "17", "--p", "2"), 0),
+            (("search", "--n-set", "6", "--m-range", "63:65"), 1),  # m = 64 is reducible
+            (("cns", "encode", "--poly", "x^2+2x+2", "--element=-1,0"), 0),
+            (("cns", "decode", "--poly", "x^2+2x+2", "--digits", "1,0,1,1,1"), 0),
+            (("cns", "verify", "--poly", "x^2+2x+2", "--radius", "1"), 0),
+        ],
+    )
+    def test_every_command_reports_alike(self, capsys, argv, code):
+        # one header, config echo, timing and exit code for every command and format; csv only for row reports
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, "")
+        doc = json.loads(out)
+        assert doc["schema_version"] == 1
+        assert doc["tool"] == {"name": "monocert", "version": __version__}
+        assert (doc["config"]["command"], doc["config"]["format"]) == (argv[0], "json")
+        assert doc["timing"]["seconds"] >= 0
+        got, out, err = run_cli(capsys, *argv, "--format", "text")
+        lines = out.splitlines()
+        assert (got, err) == (code, "")
+        assert {"schema_version: 1", "tool.name: monocert", f"config.command: {argv[0]}"} <= set(lines)
+        assert lines[-1].startswith("timing.seconds: ")
+        got, out, err = run_cli(capsys, *argv, "--format", "csv")
+        if "rows" in doc:
+            assert (got, err) == (code, "") and out.startswith("n,m,status,provenance,")
+        else:
+            assert (got, out, err) == (2, "", "error: csv format is only available for analyze and search\n")
 
     def test_csv_rejected_for_polygon(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "--n", "4", "--m", "17", "--p", "2", "--format", "csv")

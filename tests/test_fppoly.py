@@ -289,14 +289,14 @@ class TestExtensionField:
         K = fppoly._ExtField(base)
         rng = random.Random(f"pdivmod:{p}:{d}")
         for _ in range(30):
-            f = fppoly._trim(K, [K.rand(rng) for _ in range(rng.randint(0, 7))])
-            g = fppoly._trim(K, [K.rand(rng) for _ in range(rng.randint(1, 4))] + [rng.choice([K.one, K.rand(rng)])])
+            f = fppoly._trimmed([K.rand(rng) for _ in range(rng.randint(0, 7))])
+            g = fppoly._trimmed([K.rand(rng) for _ in range(rng.randint(1, 4))] + [rng.choice([K.one, K.rand(rng)])])
             if not g:
                 continue
             quot, rem = K.pdivmod(f, g)
             assert len(rem) < len(g)
             prod = fq_poly_mul(base, quot, g)
-            assert fppoly._trim(K, [fq_add(base, a, b) for a, b in zip_longest(prod, rem, fillvalue=())]) == f
+            assert fppoly._trimmed([fq_add(base, a, b) for a, b in zip_longest(prod, rem, fillvalue=())]) == f
 
     def test_pow(self):
         base = self._base()

@@ -832,17 +832,17 @@ class TestUnsplitCofactor:
 
 class TestAnalyze:
     def test_bytes_pinned_on_small_grid(self):
-        # sha256 of the verdict JSON, or the error text, over 3 <= n <= 24 and -60 <= m <= 120,
-        # taken before the polygon kernel was tightened
+        # sha256 of the verdict JSON, or the error text, over 3 <= n <= 64 and -200 <= m <= 399
+        # (37,200 inputs); the digest was taken before the duplicate helpers were folded
         h = hashlib.sha256()
-        for n in range(3, 25):
-            for m in range(-60, 121):
+        for n in range(3, 65):
+            for m in range(-200, 400):
                 try:
                     doc = purefield.analyze(n, m).to_json_dict()
                 except ValueError as e:
                     doc = {"error": str(e)}
                 h.update(json.dumps([n, m, doc], sort_keys=True).encode())
-        assert h.hexdigest() == "093de294f92a4fb92817b6b70d88fb27fee133d18745122f79378a7bab9d6a15"
+        assert h.hexdigest() == "91185eedbad62fa5f714a1f62cc9f82de77b8d442c4232f40fe864155f7d6b48"
 
     def test_monogenic_route(self):
         v = purefield.analyze(6, 30**5)
