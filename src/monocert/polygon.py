@@ -167,11 +167,13 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
     """Divide rest by the monic dv in place: rest[:deg dv] becomes the remainder, rest[deg dv:] the quotient.
 
     Quotient coefficient k is the value left at rest[k + deg dv].  A
-    quadratic dv = x^2 + a1 x + a0 (the divisor of most non-binomial
-    developments) carries the two pending coefficients below the top in
-    locals, so each quotient coefficient costs one list read, one list
-    write and two products, zero or not.  Every other degree subtracts
-    c * d from the list and never multiplies by a zero coefficient of dv.
+    quadratic dv = x^2 + a1 x + a0 (`cns.decode`'s digit base,
+    `IntPoly.__divmod__`'s divisor, and `phi_expand`'s phi when F is not
+    x^n + f0 or phi has a0 = 0 or a double root) carries the two pending
+    coefficients below the top in locals, so each quotient coefficient
+    costs one list read, one list write and two products, zero or not.
+    Every other degree subtracts c * d from the list and never multiplies
+    by a zero coefficient of dv.
     """
     if len(dv) == 3 and len(rest) > 2:
         a0, a1 = dv[0], dv[1]
@@ -219,7 +221,12 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     a term f_i x^i with i = k*d + r is x^r (phi + c)^k, so by the binomial
     theorem it adds f_i C(k, j) c^(k-j) to coefficient r of parts[j] for
     j <= k, starting at j = min(k, count - 1); for x^n - m that is O(n)
-    integer operations.  Any other phi is divided into F repeatedly on one
+    integer operations.  When F = x^n + f0 and phi = x^2 + a1 x + a0 with
+    a0 != 0 and a1^2 != 4 a0, no division is done either: part 0 comes
+    from n steps of the two-term recurrence of 1/(1 + a1 t + a0 t^2), and
+    each later part from the one before by a fixed number of products and
+    two exact divisions, so `count` parts cost n + count steps (derived
+    beside the code).  Any other phi is divided into F repeatedly on one
     coefficient list, in place, each remainder sliced off the bottom as the
     next part, until `count` parts are sliced off; c such divisions cost
     about the (n - cd) cd products of one division by phi^c, counted over
@@ -253,6 +260,28 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 if not term:
                     break
         return PhiExpansion(phi, tuple(IntPoly._wrap(_trimmed(a)) for a in acc))
+    n = F.degree
+    if d == 2 and n >= 1 and not any(F.coeffs[1:n]):
+        a0, a1 = phi.coeffs[0], phi.coeffs[1]
+        disc = a1 * a1 - 4 * a0
+        if a0 and disc:
+            # x^n over x^2 + a1 x + a0: with r(t) = 1 + a1 t + a0 t^2 and h(J, N) = [t^N] r^-J, the
+            # quotient x^n div phi^J has coefficients h(J, n-2J-k), and x^k mod phi is U_k x + V_k
+            # with sum U_k t^k = t/r, sum V_k t^k = (1 + a1 t)/r.  So part J of x^n is
+            # (u + a1 v) + v x for u = h(J+1, n-2J), v = h(J+1, n-2J-1).  Part 0 reads u, v off
+            # s_k = [t^k] 1/r.  Differentiating r^-J gives (N+1) h(J, N+1) = -J (a1 h(J+1, N)
+            # + 2 a0 h(J+1, N-1)), and r g' = -J r' g for g = r^-J gives (N+1) h(J, N+1)
+            # + a1 (N+J) h(J, N) + a0 (N-1+2J) h(J, N-1) = 0; eliminating h(J+2, n-2J-1)
+            # between them steps u, v from part J to J+1, and both divisions are exact
+            v, u = 0, 1
+            for _ in range(n):
+                v, u = u, -a1 * u - a0 * v
+            parts = [IntPoly._wrap(_trimmed([u + a1 * v + F.coeffs[0], v]))]
+            for j in range(count - 1):
+                u = (2 * (n - 2 * j) * u + a1 * (n + 1) * v) // ((j + 1) * disc)
+                v = -((n - 2 * j - 1) * v + a1 * (j + 1) * u) // (2 * a0 * (j + 1))
+                parts.append(IntPoly._wrap(_trimmed([u + a1 * v, v])))
+            return PhiExpansion(phi, tuple(parts))
     parts = []
     rest = list(F.coeffs)
     while len(parts) < count:

@@ -150,11 +150,18 @@ class TestPolygonCommand:
         assert [entry["index"] for entry in doc["polygons"]] == [30, 30, 60, 60]
 
     def test_quadratic_phi_matches_golden(self, capsys):
-        # x^750 - 6 at 5 by x^2 + x + 1, a factor of x^6 - 1 mod 5: 375 divisions by a quadratic phi
+        # x^750 - 6 at 5 by x^2 + x + 1, a factor of x^6 - 1 mod 5: developed by the recurrence, against a
+        # golden copy made by 375 divisions
         golden = pathlib.Path(__file__).parent / "data" / "polygon_n750_m6_p5_phi.json"
         doc = run_json(capsys, "polygon", "--n", "750", "--m", "6", "--p", "5", "--phi", "x^2+x+1", "--render", "none")
         doc.pop("timing")
         assert doc == json.loads(golden.read_text())
+
+    def test_degree_3750_quadratic_phi_matches_golden(self, capsys):
+        # x^3750 - 6 at 5 by x^2 + x + 1: one side of length 625; the golden polygons were made by division
+        golden = pathlib.Path(__file__).parent / "data" / "polygon_n3750_m6_p5_phi_polygons.json"
+        doc = run_json(capsys, "polygon", "--n", "3750", "--m", "6", "--p", "5", "--phi", "x^2+x+1", "--render", "none")
+        assert doc["polygons"] == json.loads(golden.read_text())
 
     def test_svg_is_valid_xml(self, capsys):
         doc = run_json(capsys, "polygon", "--n", "3", "--m", "2", "--p", "2", "--render", "svg")

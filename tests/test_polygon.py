@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monocert import arith, fppoly, polygon, purefield
@@ -154,10 +154,16 @@ _dense_fs = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-30, 30
 
 
 class TestPhiExpandOracle:
-    """phi_expand against repeated division: the binomial path for x^d - c, in-place division otherwise."""
+    """phi_expand against repeated division: the binomial path for x^d - c, the recurrence for x^n + f0 over a
+    quadratic phi, in-place division otherwise."""
 
     @given(F=st.one_of(_binomial_fs, _trinomial_fs, _dense_fs), phi=st.one_of(_binomial_phis, _general_phis))
     @example(F=IntPoly.binomial(6, 5), phi=IntPoly.binomial(2, 0))  # parts -5, 0, 0, 1 in powers of x^2
+    @example(F=IntPoly.binomial(41, 44), phi=IntPoly([0, 3, 1]))  # a0 = 0: divided
+    @example(F=IntPoly.binomial(41, 44), phi=IntPoly([4, 4, 1]))  # a1^2 - 4 a0 = 0: divided
+    @example(F=IntPoly.binomial(101, 7), phi=IntPoly([-5, -3, 1]))  # negative a0 and a1, f0 = -7
+    @example(F=IntPoly.binomial(64, 0), phi=IntPoly([2, -1, 1]))  # f0 = 0
+    @example(F=IntPoly.binomial(1, -3), phi=IntPoly([2, 1, 1]))  # below phi: one part, x + 3
     def test_matches_repeated_division(self, F, phi):
         exp = phi_expand(F, phi)
         assert exp.parts == _naive_phi_expand(F, phi)
@@ -181,6 +187,23 @@ class TestPhiExpandOracle:
         for _ in exp.parts:
             power = power * phi
         assert (F - decode(exp)) % power == IntPoly.zero()
+
+    @given(
+        F=_binomial_fs,
+        phi=st.builds(lambda a0, a1: IntPoly([a0, a1, 1]), st.integers(-30, 30), _small_a1),
+        count=st.integers(1, 102),
+    )
+    @settings(deadline=None)  # the schoolbook oracle takes about 0.1 s on x^750 - 44
+    @example(F=IntPoly.binomial(750, 44), phi=IntPoly([4, 2, 1]), count=750 // 2 + 1)  # all 376 parts
+    @example(F=IntPoly.binomial(750, 44), phi=IntPoly([4, 3, 1]), count=1)
+    @example(F=IntPoly.binomial(750, 44), phi=IntPoly([4, 3, 1]), count=2)
+    @example(F=IntPoly.binomial(750, 44), phi=IntPoly([4, 3, 1]), count=750 // 2 + 2)
+    @example(F=IntPoly.binomial(151, -2), phi=IntPoly([-6, -5, 1]), count=2)
+    @example(F=IntPoly.binomial(151, -2), phi=IntPoly([-6, -5, 1]), count=151 // 2 + 2)
+    def test_binomial_over_quadratic_prefix(self, F, phi, count):
+        exp = phi_expand(F, phi, count=count)
+        assert exp.parts == _naive_phi_expand(F, phi)[:count]
+        assert all(is_canonical(a) for a in exp.parts)
 
     @given(
         case=st.one_of(
