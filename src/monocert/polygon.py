@@ -168,12 +168,14 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
 
     Quotient coefficient k is the value left at rest[k + deg dv].  A
     quadratic dv = x^2 + a1 x + a0 (`cns.decode`'s digit base,
-    `IntPoly.__divmod__`'s divisor, and `phi_expand`'s phi when F is not
-    x^n + f0 or phi has a0 = 0 or a double root) carries the two pending
-    coefficients below the top in locals, so each quotient coefficient
-    costs one list read, one list write and two products, zero or not.
-    Every other degree subtracts c * d from the list and never multiplies
-    by a zero coefficient of dv.
+    `IntPoly.__divmod__`'s divisor, `_mulmod`'s modulus, and `phi_expand`'s
+    phi when F is not x^n + f0 or phi has a0 = 0 or a double root) carries
+    the two pending coefficients below the top in locals, so each quotient
+    coefficient costs one list read, one list write and two products, zero
+    or not.  Every other degree subtracts c * d from the list and never
+    multiplies by a zero coefficient of dv; `phi_expand` divides by such a
+    phi when F is not x^n + f0, when phi(0) = 0 or phi has a double root,
+    or when the development is too short for `_euler_parts` to pay.
     """
     if len(dv) == 3 and len(rest) > 2:
         a0, a1 = dv[0], dv[1]
@@ -190,6 +192,80 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
         if c:
             for j, d in low:
                 rest[k + j] -= c * d
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], dv: Sequence[int]) -> list[int]:
+    """a * b mod the monic dv on coefficient lists: the product `_int_pmul`, reduced by `_divide_in_place`."""
+    out = _int_pmul(a, b)
+    _divide_in_place(out, dv)
+    return _trimmed(out[: len(dv) - 1])
+
+
+def _powmod(base: Sequence[int], e: int, dv: Sequence[int]) -> list[int]:
+    """base**e mod the monic dv, by square-and-multiply over `_mulmod`; base must already be reduced."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, dv)
+        if bit == "1":
+            out = _mulmod(out, base, dv)
+    return out
+
+
+# phi_expand develops x^n + f0 over a phi of degree >= 3 by `_euler_parts` only when repeated division would compute
+# more quotient coefficients than this.  Timed against the division on x^n - 18 (n <= 200, counts 1, 2, 3, 5 and
+# all parts, phi with coefficients in [1, 9]; Python 3.11, one core of a 2-vCPU Xeon), the recurrence broke even
+# at about 200 such coefficients for d = 3, 260 for d = 4, 300 to 390 for d = 5 and 390 for d = 6, where its fixed
+# setup (the elimination and x^n mod phi, about 0.07 ms at d = 4) stops outweighing the divisions it saves.
+_EULER_MIN_QUOTIENT = 400
+
+
+def _euler_parts(n: int, phi: Sequence[int], count: int) -> list[list[int]] | None:
+    """The leading `count` parts of x^n over the monic phi of degree d >= 2, each padded to d coefficients.
+
+    None when phi(0) = 0 or phi has a double root: then x phi' is no unit mod phi, and the elimination below
+    finds no pivot.  With x^n = sum P_J phi^J and x phi' P_J = Q_J phi + B_J (deg B_J < d), Euler's identity
+    x (x^n)' = n x^n reads, digit by digit in phi, x P_J' + J Q_J + (J+1) B_(J+1) = n P_J.  So
+    P_(J+1) = W (n P_J - x P_J' - J Q_J) mod phi / ((J+1) D), and the division is exact, for
+    D = det(multiplication by x phi' mod phi) and W = D (x phi')^-1 mod phi, which one fraction-free
+    Gauss-Jordan elimination gives.  P_0 is x^n mod phi by `_powmod`; each later part is one d x d matrix,
+    fixed up to a multiple of J, applied to the one before.
+    """
+    d = len(phi) - 1
+    # column j: x^j x phi' = quot phi + rem; at j = 0 quot = d and rem = x phi' - d phi, then one shift and reduction
+    rem, quot = [(i - d) * a for i, a in enumerate(phi[:d])], [d]
+    rems, quots = [], []
+    for _ in range(d):
+        rems.append(rem)
+        quots.append(quot + [0] * (d - len(quot)))
+        t = rem[-1]
+        rem, quot = [-t * phi[0]] + [r - t * a for r, a in zip(rem, phi[1:d])], [t] + quot
+    # [M | I] -> [D I | W] for M = [rems] the matrix of multiplication by x phi'; each division is exact
+    rows = [[rem[i] for rem in rems] + [int(i == k) for k in range(d)] for i in range(d)]
+    last = 1
+    for k in range(d):
+        piv = next((i for i in range(k, d) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        pk = top[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                rows[i] = [(pk * a - row[k] * b) // last for a, b in zip(row, top)]
+        last = pk
+    W = [row[d:] for row in rows]
+    # part J+1 = (K0 - J K1) P_J / ((J+1) D) for K0 = W (n - x d/dx) and K1 = W [quots]
+    K0 = [[w * (n - l) for l, w in enumerate(row)] for row in W]
+    K1 = [[sum(map(operator.mul, row, col)) for col in quots] for row in W]
+    part = _powmod([0, 1], n, phi)
+    parts = [part + [0] * (d - len(part))]
+    for j in range(count - 1):
+        s = (j + 1) * last
+        part = parts[-1]
+        parts.append(
+            [(sum(map(operator.mul, r0, part)) - j * sum(map(operator.mul, r1, part))) // s for r0, r1 in zip(K0, K1)]
+        )
+    return parts
 
 
 @dataclass(frozen=True)
@@ -226,7 +302,13 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     from n steps of the two-term recurrence of 1/(1 + a1 t + a0 t^2), and
     each later part from the one before by a fixed number of products and
     two exact divisions, so `count` parts cost n + count steps (derived
-    beside the code).  Any other phi is divided into F repeatedly on one
+    beside the code).  When F = x^n + f0 and phi has degree d >= 3,
+    phi(0) != 0 and distinct roots, and the divisions below would compute
+    more than `_EULER_MIN_QUOTIENT` quotient coefficients (count parts take
+    count (n - d (count - 1) / 2) of them), `_euler_parts` develops x^n
+    without dividing: part 0 is x^n mod phi by square-and-multiply, and
+    Euler's identity x F' = n F makes each later part one d x d matrix step
+    from the one before.  Any other phi is divided into F repeatedly on one
     coefficient list, in place, each remainder sliced off the bottom as the
     next part, until `count` parts are sliced off; c such divisions cost
     about the (n - cd) cd products of one division by phi^c, counted over
@@ -282,6 +364,11 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 v = -((n - 2 * j - 1) * v + a1 * (j + 1) * u) // (2 * a0 * (j + 1))
                 parts.append(IntPoly._wrap(_trimmed([u + a1 * v, v])))
             return PhiExpansion(phi, tuple(parts))
+    if d >= 3 and not any(F.coeffs[1:n]) and count * (2 * n - d * (count - 1)) > 2 * _EULER_MIN_QUOTIENT:
+        parts = _euler_parts(n, phi.coeffs, count)
+        if parts is not None:
+            parts[0][0] += F.coeffs[0]
+            return PhiExpansion(phi, tuple(IntPoly._wrap(_trimmed(a)) for a in parts))
     parts = []
     rest = list(F.coeffs)
     while len(parts) < count:

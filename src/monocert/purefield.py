@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
-from .polygon import IntPoly, PrincipalPolygon, _points_under, principal_from_points
+from .polygon import IntPoly, PrincipalPolygon, _divide_in_place, _points_under, _powmod, principal_from_points
 
 
 def _iroot(x: int, k: int) -> int:
@@ -202,13 +202,21 @@ class ClosedFormData:
 def closed_form_lift(u: int, m: int, p: int, phi_bar: fppoly.FpPoly) -> IntPoly:
     """Monic lift of phi_bar valid for the closed-form construction.
 
-    The plain [0, p) lift can leave the cofactor T divisible by phi mod p;
-    bumping the lift by the constant p always repairs that, because it shifts
-    T by -U and phi never divides U mod p.
+    The plain [0, p) lift can leave the cofactor T of x^u - m = phi*U + p*T
+    divisible by phi mod p; bumping the lift by the constant p always repairs
+    that, because it shifts T by -U and phi never divides U mod p.  The
+    test needs no cofactor: (x^u - m) mod phi = p (T mod phi), so phi_bar
+    divides T mod p exactly when p^2 divides every coefficient of that one
+    remainder, and phi_bar divides x^u - m mod p only when p divides them all.
     """
     phi = IntPoly.lift(phi_bar)
-    _, T = _cofactor_pair(u, m, p, phi)
-    if (T.reduce_mod(p) % phi_bar).is_zero:
+    if not phi.is_monic or phi.degree < 1:
+        raise ValueError("phi must be monic of degree >= 1")
+    rest = list(IntPoly.binomial(u, m).coeffs)
+    _divide_in_place(rest, phi.coeffs)
+    if any(c % p for c in rest[: phi.degree]):
+        raise ValueError(f"{phi.reduce_mod(p)} does not divide x^{u} - {m} mod {p}")
+    if not any(c % (p * p) for c in rest[: phi.degree]):
         phi = phi + IntPoly.const(p)
     return phi
 
@@ -234,8 +242,10 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     development is A0 = S - m for S = (m + pT)^q mod phi.  Every term of the
     binomial expansion of (m + pT)^q but m^q is divisible by
     C(q, q-1) * p = p^(r+1), so R = (S - m^q) / p^(r+1) exactly.  S is
-    formed by square-and-multiply, about 2 log2(q) products mod phi of
-    polynomials of degree below deg(phi); H is never built.
+    formed by square-and-multiply on coefficient lists (`polygon._powmod`),
+    about 2 log2(q) products mod phi of polynomials of degree below
+    deg(phi); H is never built.  S comes from T alone, never from a
+    development of x^n - m, so it stays an independent check of part 0.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
@@ -258,11 +268,7 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     q = p**r
     # reducing mod the monic phi is a ring map, so S is the remainder of (m + pT)^q itself
     base = (T.scale(p) + IntPoly.const(m)) % phi
-    S = IntPoly.const(1)
-    for bit in bin(q)[2:]:
-        S = S * S % phi
-        if bit == "1":
-            S = S * base % phi
+    S = IntPoly._wrap(_powmod(base.coeffs, q, phi.coeffs))
     R = (S - IntPoly.const(m**q)).exact_div_scalar(p ** (r + 1))
     A0 = S - IntPoly.const(m)
     if A0.is_zero:

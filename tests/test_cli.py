@@ -163,6 +163,15 @@ class TestPolygonCommand:
         doc = run_json(capsys, "polygon", "--n", "3750", "--m", "6", "--p", "5", "--phi", "x^2+x+1", "--render", "none")
         assert doc["polygons"] == json.loads(golden.read_text())
 
+    def test_degree_12005_quartic_phi_matches_golden(self, capsys):
+        # x^12005 - 18 at 7 by a quartic phi, developed by the Euler recurrence: three sides through (49, 2),
+        # (343, 1) and (2401, 0), index 1568; the golden polygons were made by repeated division
+        golden = pathlib.Path(__file__).parent / "data" / "polygon_n12005_m18_p7_phi_polygons.json"
+        doc = run_json(
+            capsys, "polygon", "--n", "12005", "--m", "18", "--p", "7", "--phi", "x^4+2x^3+4x^2+x+2", "--render", "none"
+        )
+        assert doc["polygons"] == json.loads(golden.read_text())
+
     def test_svg_is_valid_xml(self, capsys):
         doc = run_json(capsys, "polygon", "--n", "3", "--m", "2", "--p", "2", "--render", "svg")
         svg = doc["polygons"][0]["render"]

@@ -153,9 +153,27 @@ _trinomial_fs = st.integers(2, 120).flatmap(
 _dense_fs = st.builds(lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-30, 30), max_size=25))
 
 
+# x^n + f0 over phi of degree d >= 3 takes `_euler_parts` when the division would compute more than 400 quotient
+# coefficients; a full development counts (n // d + 1) (n - d (n // d) / 2) of them, 392 and 408 at n = 47 and 48
+# for d = 3, 392 and 406 at n = 54 and 55 for d = 4, 390 and 403 at n = 60 and 61 for d = 5, 396 and 408 at
+# n = 66 and 67 for d = 6
+_EULER_PHIS = {
+    3: IntPoly([5, 3, 2, 1]),
+    4: IntPoly([4, 6, 2, 3, 1]),
+    5: IntPoly([1, -1, 0, 0, 0, 1]),
+    6: IntPoly([2, 0, -3, 0, 0, 1, 1]),
+}
+_EULER_EDGES = {3: (47, 48), 4: (54, 55), 5: (60, 61), 6: (66, 67)}
+_euler_fs = st.builds(IntPoly.binomial, st.integers(1, 250), st.integers(-50, 50))
+_euler_phis = st.builds(
+    lambda cs: IntPoly(cs + [1]), st.lists(st.integers(-9, 9), min_size=3, max_size=6).filter(lambda cs: any(cs[1:]))
+)
+
+
 class TestPhiExpandOracle:
     """phi_expand against repeated division: the binomial path for x^d - c, the recurrence for x^n + f0 over a
-    quadratic phi, in-place division otherwise."""
+    quadratic phi, the Euler recurrence for a long development of x^n + f0 over phi of degree >= 3, in-place
+    division otherwise."""
 
     @given(F=st.one_of(_binomial_fs, _trinomial_fs, _dense_fs), phi=st.one_of(_binomial_phis, _general_phis))
     @example(F=IntPoly.binomial(6, 5), phi=IntPoly.binomial(2, 0))  # parts -5, 0, 0, 1 in powers of x^2
@@ -164,6 +182,20 @@ class TestPhiExpandOracle:
     @example(F=IntPoly.binomial(101, 7), phi=IntPoly([-5, -3, 1]))  # negative a0 and a1, f0 = -7
     @example(F=IntPoly.binomial(64, 0), phi=IntPoly([2, -1, 1]))  # f0 = 0
     @example(F=IntPoly.binomial(1, -3), phi=IntPoly([2, 1, 1]))  # below phi: one part, x + 3
+    # each degree 3..6 just below the recurrence's constant (divided) and just above it (the Euler recurrence)
+    @example(F=IntPoly.binomial(47, 5), phi=_EULER_PHIS[3])
+    @example(F=IntPoly.binomial(48, 5), phi=_EULER_PHIS[3])
+    @example(F=IntPoly.binomial(54, -11), phi=_EULER_PHIS[4])
+    @example(F=IntPoly.binomial(55, -11), phi=_EULER_PHIS[4])
+    @example(F=IntPoly.binomial(60, 3), phi=_EULER_PHIS[5])
+    @example(F=IntPoly.binomial(61, 3), phi=_EULER_PHIS[5])
+    @example(F=IntPoly.binomial(66, -2), phi=_EULER_PHIS[6])
+    @example(F=IntPoly.binomial(67, -2), phi=_EULER_PHIS[6])
+    @example(F=IntPoly.binomial(120, 26), phi=_EULER_PHIS[4])  # f0 = -26
+    @example(F=IntPoly.binomial(120, 0), phi=_EULER_PHIS[4])  # f0 = 0
+    @example(F=IntPoly.binomial(100, 5), phi=IntPoly([0, 3, 2, 1]))  # phi(0) = 0: divided
+    @example(F=IntPoly.binomial(100, 5), phi=IntPoly([1, 0, 2, 0, 1]))  # (x^2 + 1)^2, Res(phi, x phi') = 0: divided
+    @example(F=IntPoly([-5, 3] + [0] * 98 + [1]), phi=_EULER_PHIS[4])  # x^100 + 3x - 5 is no x^n + f0: divided
     def test_matches_repeated_division(self, F, phi):
         exp = phi_expand(F, phi)
         assert exp.parts == _naive_phi_expand(F, phi)
@@ -189,8 +221,8 @@ class TestPhiExpandOracle:
         assert (F - decode(exp)) % power == IntPoly.zero()
 
     @given(
-        F=_binomial_fs,
-        phi=st.builds(lambda a0, a1: IntPoly([a0, a1, 1]), st.integers(-30, 30), _small_a1),
+        F=st.one_of(_binomial_fs, _euler_fs),
+        phi=st.one_of(st.builds(lambda a0, a1: IntPoly([a0, a1, 1]), st.integers(-30, 30), _small_a1), _euler_phis),
         count=st.integers(1, 102),
     )
     @settings(deadline=None)  # the schoolbook oracle takes about 0.1 s on x^750 - 44
@@ -200,10 +232,42 @@ class TestPhiExpandOracle:
     @example(F=IntPoly.binomial(750, 44), phi=IntPoly([4, 3, 1]), count=750 // 2 + 2)
     @example(F=IntPoly.binomial(151, -2), phi=IntPoly([-6, -5, 1]), count=2)
     @example(F=IntPoly.binomial(151, -2), phi=IntPoly([-6, -5, 1]), count=151 // 2 + 2)
-    def test_binomial_over_quadratic_prefix(self, F, phi, count):
+    # x^245 - 26 over x^4 + 3x^3 + 2x^2 + 6x + 4: one part is divided, two and more take the Euler recurrence
+    @example(F=IntPoly.binomial(245, 26), phi=IntPoly([4, 6, 2, 3, 1]), count=1)
+    @example(F=IntPoly.binomial(245, 26), phi=IntPoly([4, 6, 2, 3, 1]), count=2)
+    @example(F=IntPoly.binomial(245, 26), phi=IntPoly([4, 6, 2, 3, 1]), count=3)
+    @example(F=IntPoly.binomial(245, 26), phi=IntPoly([4, 6, 2, 3, 1]), count=245 // 4 + 1)
+    @example(F=IntPoly.binomial(245, 26), phi=IntPoly([4, 6, 2, 3, 1]), count=245 // 4 + 2)
+    def test_binomial_prefix_matches_division(self, F, phi, count):
         exp = phi_expand(F, phi, count=count)
         assert exp.parts == _naive_phi_expand(F, phi)[:count]
         assert all(is_canonical(a) for a in exp.parts)
+
+    @pytest.mark.parametrize("d", sorted(_EULER_EDGES))
+    def test_euler_recurrence_only_above_its_constant(self, monkeypatch, d):
+        calls = []
+        euler_parts = polygon._euler_parts
+        monkeypatch.setattr(polygon, "_euler_parts", lambda *a: calls.append(a) or euler_parts(*a))
+        below, above = _EULER_EDGES[d]
+        phi_expand(IntPoly.binomial(below, 7), _EULER_PHIS[d])
+        assert calls == []
+        phi_expand(IntPoly.binomial(above, 7), _EULER_PHIS[d])
+        assert calls == [(above, _EULER_PHIS[d].coeffs, above // d + 1)]
+
+    @given(
+        n=st.integers(1, 200),
+        phi=st.builds(lambda a0, a1: IntPoly([a0, a1, 1]), st.integers(-30, 30).filter(bool), _small_a1),
+        f0=st.integers(-50, 50),
+        count=st.integers(1, 102),
+    )
+    @example(n=750, phi=IntPoly([4, 3, 1]), f0=-44, count=376)
+    def test_euler_step_at_degree_2_matches_quadratic_block(self, n, phi, f0, count):
+        a0, a1 = phi.coeffs[0], phi.coeffs[1]
+        assume(a1 * a1 != 4 * a0)
+        count = min(count, n // 2 + 1)
+        parts = polygon._euler_parts(n, phi.coeffs, count)
+        parts[0][0] += f0
+        assert tuple(IntPoly(a) for a in parts) == phi_expand(IntPoly.binomial(n, -f0), phi, count=count).parts
 
     @given(
         case=st.one_of(

@@ -218,6 +218,36 @@ class TestClosedFormPolygon:
         direct = principal_polygon(phi_expand(IntPoly.binomial(9, 7), bumped), 3)
         assert data.hull() == direct
 
+    def test_lift_matches_cofactor_split(self):
+        # the bump read off (x^u - m) mod phi against the rule on the cofactor T of x^u - m = phi U + p T
+        checked = 0
+        for p in (3, 5, 7):
+            for u in range(1, 7):
+                if u % p == 0:
+                    continue
+                for m in range(-50, 51):
+                    if m % p == 0:
+                        continue
+                    for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
+                        lift = IntPoly.lift(phi_bar)
+                        _, T = purefield._cofactor_pair(u, m, p, lift)
+                        bump = (T.reduce_mod(p) % phi_bar).is_zero
+                        want = lift + IntPoly.const(p) if bump else lift
+                        assert purefield.closed_form_lift(u, m, p, phi_bar) == want, (u, m, p, phi_bar)
+                        checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize(
+        "u, m, p, coeffs", [(1, 7, 3, [0, 1]), (2, 3, 5, [1, 1]), (4, 2, 7, [1, 2, 1]), (1, 2, 3, [0, 0, 1])]
+    )
+    def test_lift_of_a_non_factor_rejected(self, u, m, p, coeffs):
+        phi_bar = fppoly.FpPoly(p, coeffs)
+        with pytest.raises(ValueError) as split:
+            purefield._cofactor_pair(u, m, p, IntPoly.lift(phi_bar))
+        with pytest.raises(ValueError, match="does not divide") as lift:
+            purefield.closed_form_lift(u, m, p, phi_bar)
+        assert str(lift.value) == str(split.value)
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="odd"):
             purefield.closed_form_polygon(4, 17, 2, IntPoly([1, 1]))
@@ -227,6 +257,10 @@ class TestClosedFormPolygon:
             purefield.closed_form_polygon(9, 6, 3, IntPoly([-1, 1]))
         with pytest.raises(ValueError, match="not divide"):
             purefield.closed_form_polygon(9, 5, 3, IntPoly([-1, 1]))
+        # the lift's remainder test divides by phi over Z, so it takes only a monic phi_bar of degree >= 1
+        for coeffs in ([1, 2], [1]):
+            with pytest.raises(ValueError, match="monic"):
+                purefield.closed_form_lift(1, 7, 3, fppoly.FpPoly(3, coeffs))
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(99)
