@@ -61,7 +61,10 @@ class IntPoly:
             raise ValueError("n must be positive")
         if n - 1 > sys.maxsize:
             raise ValueError(f"degree {n} is too large for a dense polynomial")
-        return cls([-m] + [0] * (n - 1) + [1])
+        # the top is 1, so only -m needs the public constructor's check: a float raises the ValueError naming it
+        coeffs = [-m] + [0] * (n - 1) + [1]
+        coeffs[:1] = _integers(coeffs[:1])
+        return cls._wrap(coeffs)
 
     @classmethod
     def lift(cls, f: FpPoly) -> "IntPoly":
@@ -168,7 +171,8 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
 
     Quotient coefficient k is the value left at rest[k + deg dv].  A
     quadratic dv = x^2 + a1 x + a0 (`cns.decode`'s digit base,
-    `IntPoly.__divmod__`'s divisor, `_mulmod`'s modulus, and `phi_expand`'s
+    `IntPoly.__divmod__`'s divisor, `_mulmod`'s modulus, the phi that
+    `purefield._binomial_remainder` reduces x^u - m by, and `phi_expand`'s
     phi when F is not x^n + f0 or phi has a0 = 0 or a double root) carries
     the two pending coefficients below the top in locals, so each quotient
     coefficient costs one list read, one list write and two products, zero

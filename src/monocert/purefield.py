@@ -26,9 +26,9 @@ The direct route runs Ore splitting only at odd primes p not dividing m, and
 only up to degree 64.  At a prime p | m, x^n - m is x^n mod p, and Ore's
 data (one side, residual polynomial y^g - m/p^k) is known in closed form: the
 generator self-check and the direct route read it there.  The closed-form
-principal polygon at odd p | n coprime to u*m (`closed_form_polygon`) is an
-independent development of x^n - m that never expands it; no verdict rests
-on it.
+principal polygon at odd p | n coprime to u*m (`closed_form_polygon`) reads
+x^n - m off the one remainder (x^u - m) mod phi, n = u * p^r, and never
+expands it; no verdict rests on it.
 
 Verdicts carry every number needed to recheck them from scratch.
 """
@@ -178,18 +178,18 @@ class MonogenityVerdict:
 class ClosedFormData:
     """Closed-form polygon data for x^n - m at an odd p | n coprime to u*m.
 
-    n = u * q with q = p^r, and x^u - m = phi*U + p*T.  The correction
-    polynomial H is defined by (m + pT)^q = m^q + p^(r+1) H; only its
-    remainder R mod phi is built.  A0 = p^(r+1) R + m^q - m is the constant
-    part of the development of x^n - m.
+    n = u * q with q = p^r, and x^u - m = phi*U + p*T for integer
+    polynomials U, T; neither is built, as (x^u - m) mod phi = p (T mod phi)
+    is all the construction reads.  The correction polynomial H is defined by
+    (m + pT)^q = m^q + p^(r+1) H; only its remainder R mod phi is built.
+    A0 = p^(r+1) R + m^q - m is the constant part of the development of
+    x^n - m.
     """
 
     p: int
     r: int
     u: int
     phi: IntPoly
-    U: IntPoly
-    T: IntPoly
     R: IntPoly
     A0: IntPoly
     nu0: int
@@ -199,56 +199,60 @@ class ClosedFormData:
         return principal_from_points(self.points)
 
 
+def _binomial_remainder(u: int, m: int, p: int, phi: IntPoly) -> list[int]:
+    """(x^u - m) mod the monic phi, deg(phi) coefficients by `_divide_in_place`; p must divide them all."""
+    rest = list(IntPoly.binomial(u, m).coeffs)
+    _divide_in_place(rest, phi.coeffs)
+    rem = rest[: phi.degree]
+    if any(c % p for c in rem):
+        raise ValueError(f"{phi.reduce_mod(p)} does not divide x^{u} - {m} mod {p}")
+    return rem
+
+
 def closed_form_lift(u: int, m: int, p: int, phi_bar: fppoly.FpPoly) -> IntPoly:
     """Monic lift of phi_bar valid for the closed-form construction.
 
     The plain [0, p) lift can leave the cofactor T of x^u - m = phi*U + p*T
     divisible by phi mod p; bumping the lift by the constant p always repairs
     that, because it shifts T by -U and phi never divides U mod p.  The
-    test needs no cofactor: (x^u - m) mod phi = p (T mod phi), so phi_bar
-    divides T mod p exactly when p^2 divides every coefficient of that one
-    remainder, and phi_bar divides x^u - m mod p only when p divides them all.
+    test needs no cofactor: (x^u - m) mod phi = p (T mod phi)
+    (`_binomial_remainder`), so phi_bar divides T mod p exactly when p^2
+    divides every coefficient of that one remainder, and phi_bar divides
+    x^u - m mod p only when p divides them all.
     """
     phi = IntPoly.lift(phi_bar)
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
-    rest = list(IntPoly.binomial(u, m).coeffs)
-    _divide_in_place(rest, phi.coeffs)
-    if any(c % p for c in rest[: phi.degree]):
-        raise ValueError(f"{phi.reduce_mod(p)} does not divide x^{u} - {m} mod {p}")
-    if not any(c % (p * p) for c in rest[: phi.degree]):
+    if not any(c % (p * p) for c in _binomial_remainder(u, m, p, phi)):
         phi = phi + IntPoly.const(p)
     return phi
-
-
-def _cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """U, T with x^u - m = phi*U + p*T, U the [0, p) lift of (x^u - m)/phi mod p."""
-    phi_bar = phi.reduce_mod(p)
-    small = IntPoly.binomial(u, m).reduce_mod(p)
-    quot, rem = divmod(small, phi_bar)
-    if not rem.is_zero:
-        raise ValueError(f"{phi_bar} does not divide x^{u} - {m} mod {p}")
-    U = IntPoly.lift(quot)
-    T = (IntPoly.binomial(u, m) - phi * U).exact_div_scalar(p)
-    return U, T
 
 
 def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     """Closed-form principal polygon data for x^n - m with respect to p and phi.
 
-    Writes n = u * q with q = p^r, splits x^u - m as phi*U + p*T, and reads
-    the polygon off the points (0, nu0) and (p^j, r - j) without developing
-    x^n - m itself.  As x^u = m + pT + phi*U, the constant part of the
+    Writes n = u * q with q = p^r and reads the polygon off the points
+    (0, nu0) and (p^j, r - j) without developing x^n - m itself.  With
+    x^u - m = phi*U + p*T, x^u = m + pT + phi*U, so the constant part of the
     development is A0 = S - m for S = (m + pT)^q mod phi.  Every term of the
     binomial expansion of (m + pT)^q but m^q is divisible by
-    C(q, q-1) * p = p^(r+1), so R = (S - m^q) / p^(r+1) exactly.  S is
-    formed by square-and-multiply on coefficient lists (`polygon._powmod`),
-    about 2 log2(q) products mod phi of polynomials of degree below
-    deg(phi); H is never built.  S comes from T alone, never from a
-    development of x^n - m, so it stays an independent check of part 0.
+    C(q, q-1) * p = p^(r+1), so R = (S - m^q) / p^(r+1) exactly.  Only
+    (x^u - m) mod phi = p (T mod phi) is computed (`_binomial_remainder`):
+    p^2 dividing all its coefficients means phi_bar divides T mod p, which
+    the construction excludes, and adding m to it gives x^u mod phi, so
+    S = (x^u mod phi)^q mod phi by square-and-multiply on coefficient lists
+    (`polygon._powmod`), about 2 log2(q) products mod phi of polynomials of
+    degree below deg(phi); U, T and H are never built.  phi_bar never divides
+    U mod p: that would make phi_bar^2 divide x^u - m mod p, hence
+    phi_bar = x as p does not divide u, and then p | m.  S is x^n mod phi, as
+    part 0 of `polygon._euler_parts` is, by the same `_powmod`; the
+    independent checks of it are the tests' Horner and repeated-division
+    oracles.
     """
     if p == 2 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
+    if n < 1:
+        raise ValueError("n must be positive")
     if n % p != 0:
         raise ValueError(f"{p} does not divide {n}")
     if m % p == 0:
@@ -260,22 +264,19 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     phi_bar = phi.reduce_mod(p)
     if not fppoly.is_irreducible(phi_bar):
         raise ValueError(f"{phi_bar} is not irreducible")
-    U, T = _cofactor_pair(u, m, p, phi)
-    if (U.reduce_mod(p) % phi_bar).is_zero:
-        raise ValueError("phi divides the cofactor U mod p")
-    if (T.reduce_mod(p) % phi_bar).is_zero:
+    base = _binomial_remainder(u, m, p, phi)
+    if not any(c % (p * p) for c in base):
         raise ValueError("phi divides the cofactor T mod p; use closed_form_lift")
+    base[0] += m
     q = p**r
-    # reducing mod the monic phi is a ring map, so S is the remainder of (m + pT)^q itself
-    base = (T.scale(p) + IntPoly.const(m)) % phi
-    S = IntPoly._wrap(_powmod(base.coeffs, q, phi.coeffs))
+    S = IntPoly._wrap(_powmod(base, q, phi.coeffs))
     R = (S - IntPoly.const(m**q)).exact_div_scalar(p ** (r + 1))
     A0 = S - IntPoly.const(m)
     if A0.is_zero:
         raise ValueError("degenerate constant part")
     nu0 = A0.padic_valuation(p)
     points = ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))
-    return ClosedFormData(p, r, u, phi, U, T, R, A0, nu0, points)
+    return ClosedFormData(p, r, u, phi, R, A0, nu0, points)
 
 
 def theorem_general_test(n: int, m: int, notes: list[str] | None = None) -> MonogenityVerdict | None:

@@ -4,7 +4,8 @@ Resultants give the Dedekind screen of the splitting tests (p divides the
 discriminant whenever p ramifies), decoding checks phi-adic developments, and
 the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
-sum taken term by term, residual coefficients against a division that goes
+sum taken term by term, over the cofactors U, T of x^u - m = phi*U + p*T
+from a division over F_p, residual coefficients against a division that goes
 through IntPoly, principal polygons against a lower convex hull that sorts
 and dedups its own cloud, every IntPoly the engine builds unchecked against
 the public constructor, Ore's index against a column-by-column lattice
@@ -121,6 +122,18 @@ def decode(exp: PhiExpansion) -> IntPoly:
 def is_canonical(a: IntPoly) -> bool:
     """a is what the public constructor builds from its coefficients: ints, trimmed."""
     return a == IntPoly(list(a.coeffs)) and all(type(c) is int for c in a.coeffs)
+
+
+def cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """U, T with x^u - m = phi*U + p*T, U the [0, p) lift of (x^u - m)/phi mod p."""
+    phi_bar = phi.reduce_mod(p)
+    small = IntPoly.binomial(u, m).reduce_mod(p)
+    quot, rem = divmod(small, phi_bar)
+    if not rem.is_zero:
+        raise ValueError(f"{phi_bar} does not divide x^{u} - {m} mod {p}")
+    U = IntPoly.lift(quot)
+    T = (IntPoly.binomial(u, m) - phi * U).exact_div_scalar(p)
+    return U, T
 
 
 def closed_form_horner(m: int, p: int, r: int, phi: IntPoly, T: IntPoly) -> tuple[IntPoly, IntPoly, int, tuple]:

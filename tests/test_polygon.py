@@ -315,6 +315,19 @@ class TestTrustedConstructor:
         assert [list(a.coeffs) for a in parts] == want[:count]
         assert all(is_canonical(a) for a in parts)
 
+    @pytest.mark.parametrize("n, m", [(5, 0), (3, -7), (4, 2**200 + 1), (1, 9), (1, -(2**200))])
+    def test_binomial(self, n, m):
+        F = IntPoly.binomial(n, m)
+        assert is_canonical(F)
+        assert F == IntPoly([-m] + [0] * (n - 1) + [1])
+
+    def test_binomial_rejects_a_non_integer_m(self):
+        # only -m is checked, and it raises what the public constructor raises on it
+        with pytest.raises(ValueError, match="-1.5 is not an integer"):
+            IntPoly.binomial(3, 1.5)
+        with pytest.raises(TypeError):
+            IntPoly.binomial(3, "1")
+
     @given(p=st.sampled_from([2, 3, 7, 2**31 - 1]), cs=st.lists(st.integers(-(2**40), 2**40), max_size=6))
     def test_lift(self, p, cs):
         f = fppoly.FpPoly(p, cs)

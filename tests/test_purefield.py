@@ -14,6 +14,7 @@ from oracles import (
     binomial_discriminant,
     binomial_irreducible_by_factoring,
     closed_form_horner,
+    cofactor_pair,
     discriminant,
     family_condition,
     is_canonical,
@@ -178,17 +179,18 @@ class TestClosedFormPolygon:
         for n, m, p, phi in instances:
             data = purefield.closed_form_polygon(n, m, p, phi)
             q = p**data.r
-            assert IntPoly.binomial(data.u, m) == data.phi * data.U + data.T.scale(p)
+            U, T = cofactor_pair(data.u, m, p, phi)
+            assert IntPoly.binomial(data.u, m) == data.phi * U + T.scale(p)
             assert data.A0 == data.R.scale(p ** (data.r + 1)) + IntPoly.const(m**q - m)
             # the exact correction polynomial H, built in full; R is its remainder mod phi
-            pT = data.T.scale(p)
+            pT = T.scale(p)
             binomial_sum = IntPoly.zero()
             for j in range(q - 1):
                 power = IntPoly.const(1)
                 for _ in range(q - j):
                     power = power * pT
                 binomial_sum = binomial_sum + power.scale(math.comb(q, j) * m**j)
-            H = data.T.scale(m ** (q - 1)) + binomial_sum.exact_div_scalar(p ** (data.r + 1))
+            H = T.scale(m ** (q - 1)) + binomial_sum.exact_div_scalar(p ** (data.r + 1))
             V, R = divmod(H, phi)
             assert H == V * phi + R
             assert R == data.R, (n, m, p, phi)
@@ -204,9 +206,10 @@ class TestClosedFormPolygon:
         for n, m, p, phi in instances:
             data = purefield.closed_form_polygon(n, m, p, phi)
             assert data.r == 3
-            assert IntPoly.binomial(data.u, m) == data.phi * data.U + data.T.scale(p)
-            assert closed_form_horner(m, p, 3, phi, data.T) == (data.R, data.A0, data.nu0, data.points), (n, m, p, phi)
-            assert all(is_canonical(a) for a in (data.phi, data.U, data.T, data.R, data.A0))
+            U, T = cofactor_pair(data.u, m, p, phi)
+            assert IntPoly.binomial(data.u, m) == data.phi * U + T.scale(p)
+            assert closed_form_horner(m, p, 3, phi, T) == (data.R, data.A0, data.nu0, data.points), (n, m, p, phi)
+            assert all(is_canonical(a) for a in (data.phi, data.R, data.A0))
 
     def test_bad_lift_rejected_and_bump_works(self):
         phi_bar = fppoly.FpPoly(3, [2, 1])  # x + 2, the [0, p) lift for m = 7
@@ -219,7 +222,8 @@ class TestClosedFormPolygon:
         assert data.hull() == direct
 
     def test_lift_matches_cofactor_split(self):
-        # the bump read off (x^u - m) mod phi against the rule on the cofactor T of x^u - m = phi U + p T
+        # the bump read off (x^u - m) mod phi against the rule on the cofactor T of x^u - m = phi U + p T;
+        # every factor is simple (p divides neither u nor m), so phi_bar never divides U mod p
         checked = 0
         for p in (3, 5, 7):
             for u in range(1, 7):
@@ -228,9 +232,10 @@ class TestClosedFormPolygon:
                 for m in range(-50, 51):
                     if m % p == 0:
                         continue
-                    for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
+                    for phi_bar, multiplicity in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
+                        assert multiplicity == 1, (u, m, p, phi_bar)
                         lift = IntPoly.lift(phi_bar)
-                        _, T = purefield._cofactor_pair(u, m, p, lift)
+                        _, T = cofactor_pair(u, m, p, lift)
                         bump = (T.reduce_mod(p) % phi_bar).is_zero
                         want = lift + IntPoly.const(p) if bump else lift
                         assert purefield.closed_form_lift(u, m, p, phi_bar) == want, (u, m, p, phi_bar)
@@ -243,7 +248,7 @@ class TestClosedFormPolygon:
     def test_lift_of_a_non_factor_rejected(self, u, m, p, coeffs):
         phi_bar = fppoly.FpPoly(p, coeffs)
         with pytest.raises(ValueError) as split:
-            purefield._cofactor_pair(u, m, p, IntPoly.lift(phi_bar))
+            cofactor_pair(u, m, p, IntPoly.lift(phi_bar))
         with pytest.raises(ValueError, match="does not divide") as lift:
             purefield.closed_form_lift(u, m, p, phi_bar)
         assert str(lift.value) == str(split.value)
@@ -257,10 +262,41 @@ class TestClosedFormPolygon:
             purefield.closed_form_polygon(9, 6, 3, IntPoly([-1, 1]))
         with pytest.raises(ValueError, match="not divide"):
             purefield.closed_form_polygon(9, 5, 3, IntPoly([-1, 1]))
+        # the valuation of n = 0 would never end, and a negative n leaves no u >= 1
+        for n in (0, -9):
+            with pytest.raises(ValueError, match="n must be positive"):
+                purefield.closed_form_polygon(n, 7, 3, IntPoly([-1, 1]))
         # the lift's remainder test divides by phi over Z, so it takes only a monic phi_bar of degree >= 1
         for coeffs in ([1, 2], [1]):
             with pytest.raises(ValueError, match="monic"):
                 purefield.closed_form_lift(1, 7, 3, fppoly.FpPoly(3, coeffs))
+
+    def test_pinned_on_criterion_3_grid(self):
+        # the lift, R, A0, nu0 and points, or the error text, over the grid p in {3, 5, 7}, r <= 3, u <= 6 and
+        # |m| <= 50 coprime to p, at every factor of x^u - m mod p, through both the bumped and the [0, p) lift
+        lines = []
+        for p in (3, 5, 7):
+            for u in range(1, 7):
+                if u % p == 0:
+                    continue
+                for m in range(-50, 51):
+                    if m % p == 0:
+                        continue
+                    for phi_bar, _ in fppoly.factor(IntPoly.binomial(u, m).reduce_mod(p)).factors:
+                        lift = purefield.closed_form_lift(u, m, p, phi_bar)
+                        for r in (1, 2, 3):
+                            for phi in (lift, IntPoly.lift(phi_bar)):
+                                try:
+                                    d = purefield.closed_form_polygon(u * p**r, m, p, phi)
+                                    out = (d.R.coeffs, d.A0.coeffs, d.nu0, d.points)
+                                except ValueError as e:
+                                    out = str(e)
+                                lines.append(f"{u} {m} {p} {r} {phi.coeffs} {out}")
+        assert len(lines) == 13458
+        assert sum(line.endswith("cofactor T mod p; use closed_form_lift") for line in lines) == 1173
+        assert sum(line.endswith("degenerate constant part") for line in lines) == 8
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "1af8f7706782dd9cf5210f1992dee3fe2980bf5f5ebf504ad7eebff9a3036d62"
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(99)
