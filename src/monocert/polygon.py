@@ -30,16 +30,23 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", tuple(_trimmed(_integers(coeffs))))
+        _set_coeffs(self, tuple(_trimmed(_integers(coeffs))))
 
     def __setattr__(self, *a):
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
     def _wrap(cls, coeffs: Sequence[int]) -> "IntPoly":
-        """An IntPoly over int coefficients the engine already holds trimmed (nonzero top, or none)."""
+        """An IntPoly over int coefficients the engine already holds trimmed (nonzero top, or none).
+
+        The trusted constructor: nothing is converted or trimmed, and the slot
+        is set through the `coeffs` descriptor itself, past the immutability
+        guard.  Only engine code whose coefficients are ints by construction
+        calls it; the tests hold every such route to what `IntPoly(coeffs)`
+        builds (`oracles.is_canonical`).
+        """
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(coeffs))
+        _set_coeffs(out, tuple(coeffs))
         return out
 
     @classmethod
@@ -147,6 +154,9 @@ class IntPoly:
         return _fmt_poly(self.coeffs)
 
 
+_set_coeffs = IntPoly.coeffs.__set__  # the slot's own setter, which IntPoly.__setattr__ does not guard
+
+
 def _content_valuation(a: IntPoly, p: int) -> int:
     """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked.
 
@@ -206,7 +216,12 @@ def _mulmod(a: Sequence[int], b: Sequence[int], dv: Sequence[int]) -> list[int]:
 
 
 def _powmod(base: Sequence[int], e: int, dv: Sequence[int]) -> list[int]:
-    """base**e mod the monic dv, by square-and-multiply over `_mulmod`; base must already be reduced."""
+    """base**e mod the monic dv, by square-and-multiply over `_mulmod`; base must already be reduced.
+
+    Modulo a linear dv the reduced base is a constant, and so is every power of it: one integer power.
+    """
+    if len(dv) == 2:
+        return _trimmed([(base[0] if base else 0) ** e])
     out = [1]
     for bit in bin(e)[2:]:
         out = _mulmod(out, out, dv)
@@ -278,8 +293,11 @@ class PhiExpansion:
 
     A prefix development (`phi_expand` with `count`) keeps only the leading
     parts and satisfies F = sum parts[j] * base**j mod base**len(parts).
-    The degree bound is checked here, so a longer part, which belongs to no
-    development in powers of base, raises a ValueError.
+    The public constructor checks the degree bound, so a longer part, which
+    belongs to no development in powers of base, raises a ValueError.
+    `phi_expand` returns through `_wrap`, which skips that check: each of
+    its routes builds every part below deg base, and the tests hold every
+    route to the public constructor on the same parts.
     """
 
     base: IntPoly
@@ -289,6 +307,13 @@ class PhiExpansion:
         d = self.base.degree
         if any(len(a.coeffs) > d for a in self.parts):
             raise ValueError(f"every part must have degree below deg base = {d}")
+
+    @classmethod
+    def _wrap(cls, base: IntPoly, parts: tuple[IntPoly, ...]) -> "PhiExpansion":
+        """A development the engine built, every part already below deg base: __post_init__ is skipped."""
+        out = object.__new__(cls)
+        out.__dict__.update(base=base, parts=parts)
+        return out
 
 
 def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpansion:
@@ -342,10 +367,10 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
             term = f * math.comb(k, top) * c ** (k - top)
             for j in range(top, -1, -1):
                 acc[j][r] += term
-                term = term * c * j // (k - j + 1)
+                term = term * (c * j) // (k - j + 1)
                 if not term:
                     break
-        return PhiExpansion(phi, tuple(IntPoly._wrap(_trimmed(a)) for a in acc))
+        return PhiExpansion._wrap(phi, tuple(map(IntPoly._wrap, map(_trimmed, acc))))
     n = F.degree
     if d == 2 and n >= 1 and not any(F.coeffs[1:n]):
         a0, a1 = phi.coeffs[0], phi.coeffs[1]
@@ -367,19 +392,19 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 u = (2 * (n - 2 * j) * u + a1 * (n + 1) * v) // ((j + 1) * disc)
                 v = -((n - 2 * j - 1) * v + a1 * (j + 1) * u) // (2 * a0 * (j + 1))
                 parts.append(IntPoly._wrap(_trimmed([u + a1 * v, v])))
-            return PhiExpansion(phi, tuple(parts))
+            return PhiExpansion._wrap(phi, tuple(parts))
     if d >= 3 and not any(F.coeffs[1:n]) and count * (2 * n - d * (count - 1)) > 2 * _EULER_MIN_QUOTIENT:
         parts = _euler_parts(n, phi.coeffs, count)
         if parts is not None:
             parts[0][0] += F.coeffs[0]
-            return PhiExpansion(phi, tuple(IntPoly._wrap(_trimmed(a)) for a in parts))
+            return PhiExpansion._wrap(phi, tuple(map(IntPoly._wrap, map(_trimmed, parts))))
     parts = []
     rest = list(F.coeffs)
     while len(parts) < count:
         _divide_in_place(rest, phi.coeffs)
         parts.append(IntPoly._wrap(_trimmed(rest[:d])))
         del rest[:d]
-    return PhiExpansion(phi, tuple(parts))
+    return PhiExpansion._wrap(phi, tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -440,38 +465,38 @@ class PrincipalPolygon:
 
 
 def _principal_chain(points: Iterable[tuple[int, int]]) -> PrincipalPolygon:
-    """Principal polygon of points in strictly increasing x: the negative-slope prefix of their lower chain.
+    """Principal polygon of points sorted by x, then y: the lower chain of their strict running minima.
 
-    The monotone chain pops every vertex on or above the segment from its
-    predecessor to the next point, so collinear interior points go and
-    consecutive vertices advance in x; the prefix stops at the first vertex
-    that does not fall in y.  So every side passes Side's checks by
-    construction and is built unchecked.
+    The polygon starts at the first point, and every later vertex ends a
+    falling side, so it lies strictly below every earlier point: those are on
+    or above the side's line, which falls to the right.  So only a point
+    below every earlier one is admitted, and the admitted points have the
+    same principal polygon as all of them.  Each one falls below the last
+    vertex, so every side of their lower chain falls, and the chain is the
+    whole polygon: it ends at the leftmost lowest point.  The monotone chain
+    pops every vertex on or above the segment from its predecessor to the
+    next point, so collinear interior points go; a later point at the same x
+    is never below the first, so consecutive vertices advance in x.  So
+    every side passes Side's checks by construction and is built unchecked.
     """
     hull: list[tuple[int, int]] = []
     for pt in points:
         x, y = pt
+        if hull and y >= hull[-1][1]:
+            continue
         while len(hull) > 1:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
                 break
             hull.pop()
         hull.append(pt)
-    k = 1
-    while k < len(hull) and hull[k][1] < hull[k - 1][1]:
-        k += 1
-    if k == 1:
-        return PrincipalPolygon((), ())
-    return PrincipalPolygon(tuple(hull[:k]), tuple(Side._wrap(hull[i - 1], hull[i]) for i in range(1, k)))
+    vertices = tuple(hull) if len(hull) > 1 else ()  # one point makes no side
+    return PrincipalPolygon(vertices, tuple(map(Side._wrap, hull, hull[1:])))
 
 
 def principal_from_points(points: Sequence[tuple[int, int]]) -> PrincipalPolygon:
     """Principal polygon of a point cloud: the negative-slope prefix of its lower hull (lowest point per x)."""
-    best: dict[int, int] = {}
-    for x, y in points:
-        if x not in best or y < best[x]:
-            best[x] = y
-    return _principal_chain(sorted(best.items()))
+    return _principal_chain(sorted((x, y) for x, y in points))
 
 
 def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
@@ -480,11 +505,14 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
     Cloud points are (j, nu_p(parts[j])) over nonzero parts; the polygon keeps
     the negative-slope sides of the lower convex envelope.  Empty whenever
     nu_p(parts[0]) = 0, i.e. when the reduction of the base does not divide
-    the reduction of the developed polynomial.  The sides end at the first
-    part of valuation 0, so a prefix development through that part gives
-    the same polygon as the full one, and the cloud stops there too.  It
-    comes in increasing j, so it goes through the lower chain as it is,
-    without a sort.
+    the reduction of the developed polynomial.  Only points strictly below
+    every earlier one can be vertices (`_principal_chain`), so with v the
+    lowest valuation so far, a part whose coefficients p^v all divide (a
+    zero part among them) is skipped without being valued.  The sides end
+    at the first part of valuation 0, so a prefix development through that
+    part gives the same polygon as the full one, and the cloud stops there
+    too.  It comes in increasing j, so it goes through the lower chain as
+    it is, without a sort.
     """
     phi_bar = exp.base.reduce_mod(p)  # proves p prime
     if phi_bar.degree != exp.base.degree:
@@ -494,12 +522,16 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
     if exp.parts and exp.parts[0].is_zero:
         raise ValueError("base divides the polynomial over Z; the polygon is unbounded")
     cloud = []
+    pv = 0  # p^v for the lowest valuation v so far, 0 before part 0
     for j, a in enumerate(exp.parts):
-        if a.coeffs:
-            v = _content_valuation(a, p)
-            cloud.append((j, v))
-            if not v:
-                break
+        g = math.gcd(*a.coeffs)
+        if pv and not g % pv:
+            continue
+        v = arith._valuation(p, g)
+        cloud.append((j, v))
+        if not v:
+            break
+        pv = p**v
     return _principal_chain(cloud)
 
 
@@ -542,10 +574,11 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[in
     first, trimmed, () for zero), the format `fppoly.fq_factor` takes.  The
     gcd of the part's coefficients is divisible by p^t exactly when its
     cloud point is on or above the side, and a part strictly above the side,
-    or a zero part, reduces to ().  Every part is below deg phi
-    (`PhiExpansion` checks it), so the reduction mod p is already reduced
-    modulo phi_bar.  A side reaching past the last developed part is
-    rejected, since a prefix development does not know the parts beyond it.
+    or a zero part, reduces to ().  Every part is below deg phi (the
+    public `PhiExpansion` checks it, and `phi_expand` builds it so), so the
+    reduction mod p is already reduced modulo phi_bar.  A side reaching
+    past the last developed part is rejected, since a prefix development
+    does not know the parts beyond it.
     """
     _check_modulus(p)
     (s, ys) = side.start

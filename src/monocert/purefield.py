@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass
 
 from . import arith, fppoly, ore
-from .polygon import IntPoly, PrincipalPolygon, _divide_in_place, _points_under, _powmod, principal_from_points
+from .polygon import IntPoly, PrincipalPolygon, _content_valuation, _divide_in_place, _points_under, _powmod
+from .polygon import principal_from_points
 
 
 def _iroot(x: int, k: int) -> int:
@@ -274,7 +275,7 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
     A0 = S - IntPoly.const(m)
     if A0.is_zero:
         raise ValueError("degenerate constant part")
-    nu0 = A0.padic_valuation(p)
+    nu0 = _content_valuation(A0, p)  # p was proven prime above
     points = ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))
     return ClosedFormData(p, r, u, phi, R, A0, nu0, points)
 

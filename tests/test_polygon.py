@@ -315,6 +315,30 @@ class TestTrustedConstructor:
         assert [list(a.coeffs) for a in parts] == want[:count]
         assert all(is_canonical(a) for a in parts)
 
+    @given(
+        case=st.one_of(
+            st.tuples(st.one_of(_binomial_fs, _trinomial_fs, _dense_fs), _binomial_phis),
+            st.tuples(_binomial_fs, st.builds(lambda a0, a1: IntPoly([a0, a1, 1]), st.integers(-30, 30), _small_a1)),
+            st.tuples(_euler_fs, _euler_phis),
+            st.tuples(st.one_of(_trinomial_fs, _dense_fs), _general_phis),
+        ),
+        count=st.none() | st.integers(1, 130),
+    )
+    # one example per route: x^d - c, the quadratic recurrence, `_euler_parts` (full and prefix), division
+    @example(case=(IntPoly.binomial(750, 44), IntPoly([3, 1])), count=None)
+    @example(case=(IntPoly.binomial(6, 5), IntPoly.binomial(2, 0)), count=None)
+    @example(case=(IntPoly.binomial(750, 44), IntPoly([4, 3, 1])), count=None)
+    @example(case=(IntPoly.binomial(245, 26), _EULER_PHIS[4]), count=None)
+    @example(case=(IntPoly.binomial(245, 26), _EULER_PHIS[4]), count=2)
+    @example(case=(IntPoly.binomial(100, 5), IntPoly([0, 3, 2, 1])), count=None)
+    @example(case=(IntPoly([-5, 3] + [0] * 98 + [1]), _EULER_PHIS[4]), count=None)
+    def test_phi_expand_routes_match_public_constructor(self, case, count):
+        # phi_expand returns through the unchecked PhiExpansion._wrap; the checked constructor takes the same parts
+        F, phi = case
+        exp = phi_expand(F, phi, count=count)
+        assert exp == PhiExpansion(phi, exp.parts)
+        assert all(is_canonical(a) for a in exp.parts)
+
     @pytest.mark.parametrize("n, m", [(5, 0), (3, -7), (4, 2**200 + 1), (1, 9), (1, -(2**200))])
     def test_binomial(self, n, m):
         F = IntPoly.binomial(n, m)
@@ -550,6 +574,17 @@ class TestLowerHull:
 
 # (p, phi) with phi irreducible mod p, for hand-made developments
 _HAND_BASES = [(2, IntPoly([1, 1, 1])), (2, IntPoly([1, 1, 0, 1])), (3, IntPoly([1, 0, 1])), (5, IntPoly([3, 1]))]
+# valuation of each part of a hand-made development, None for a zero part; part 0 is nonzero.  Small valuations
+# tie often; the second kind puts the points (run * i, top - i) on one line, with filler parts between them
+_part_valuations = st.one_of(
+    st.builds(lambda v0, rest: [v0] + rest, st.integers(0, 5), st.lists(st.none() | st.integers(0, 5), max_size=15)),
+    st.builds(
+        lambda top, run, filler: [top - j // run if j % run == 0 else filler for j in range(top * run + 1)],
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.none() | st.integers(0, 6),
+    ),
+)
 
 
 class TestKernelOracles:
@@ -585,17 +620,50 @@ class TestKernelOracles:
         divide_in_place_by_loop(want, dv)
         assert got == want
 
-    @given(column=st.dictionaries(st.integers(0, 40), st.integers(0, 30), max_size=14), extra=st.data())
-    def test_chain_matches_lower_hull(self, column, extra):
+    @given(
+        low=st.lists(st.one_of(st.integers(-9, 9), _huge), min_size=1, max_size=4),
+        base=st.lists(st.integers(-9, 9), max_size=4),
+        e=st.integers(0, 40),
+    )
+    @example(low=[3], base=[-2], e=343)  # a linear modulus: one integer power
+    @example(low=[3], base=[], e=0)
+    @example(low=[5], base=[], e=3)  # a zero base
+    @example(low=[2, 0, 1], base=[0, 1], e=12)
+    def test_powmod_matches_repeated_products(self, low, base, e):
+        dv = IntPoly(low + [1])
+        b = IntPoly(base) % dv
+        want = IntPoly.const(1)
+        for _ in range(e):
+            want = want * b % dv
+        assert polygon._powmod(list(b.coeffs), e, dv.coeffs) == list(want.coeffs)
+
+    @given(
+        column=st.dictionaries(st.integers(0, 40), st.integers(0, 30), max_size=14),
+        above=st.lists(st.tuples(st.integers(0, 13), st.integers(1, 3)), max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    # the running minimum's cases: ties with it, collinear points, gaps (zero parts), rising points after it,
+    # y = 0 first or late, and one or no point
+    @example(column={0: 3, 1: 3, 2: 1, 3: 1, 4: 0}, above=[(1, 1)], order=random.Random(0))
+    @example(column={0: 6, 1: 4, 2: 2, 3: 0}, above=[(2, 1)], order=random.Random(1))
+    @example(column={0: 4, 3: 2, 9: 0}, above=[], order=random.Random(2))
+    @example(column={0: 5, 2: 1, 3: 2, 5: 4, 8: 3}, above=[(4, 2)], order=random.Random(3))
+    @example(column={0: 0, 2: 1, 4: 0}, above=[], order=random.Random(4))
+    @example(column={0: 5, 1: 7, 6: 2, 9: 0, 12: 0, 13: 3}, above=[(0, 1)], order=random.Random(5))
+    @example(column={0: 2}, above=[(0, 1)], order=random.Random(6))
+    @example(column={}, above=[], order=random.Random(7))
+    def test_chain_matches_lower_hull(self, column, above, order):
         cloud = sorted(column.items())
         poly = polygon._principal_chain(cloud)
         assert poly.vertices == principal_vertices(cloud)
         # each unchecked side is one the checked constructor accepts
         assert poly.sides == tuple(Side(a, b) for a, b in zip(poly.vertices, poly.vertices[1:]))
-        # an unsorted cloud with points above each column's lowest gives the same polygon
-        above = extra.draw(st.lists(st.sampled_from(cloud), max_size=6)) if cloud else []
-        noisy = extra.draw(st.permutations(cloud + [(x, y + 1) for x, y in above]))
+        # an unsorted cloud with points above each column's lowest gives the same polygon, as lists too
+        noisy = [(cloud[i % len(cloud)][0], cloud[i % len(cloud)][1] + dy) for i, dy in above] if cloud else []
+        noisy += cloud
+        order.shuffle(noisy)
         assert principal_from_points(noisy) == poly
+        assert principal_from_points([list(pt) for pt in noisy]) == poly
 
     def test_polygon_matches_hull_of_full_cloud(self):
         # the cloud stops at the first part of valuation 0; the hull of every part gives the same polygon
@@ -613,6 +681,35 @@ class TestKernelOracles:
             ]
             assert principal_polygon(exp, p).vertices == principal_vertices(cloud), (F, p, phi_bar)
             checked += 1
+
+    @given(
+        base=st.sampled_from(_HAND_BASES), valuations=_part_valuations, units=st.lists(st.integers(-30, 30), min_size=1)
+    )
+    # ties with the running minimum, collinear points, zero parts, rising points after it, valuation 0 first or late
+    @example(base=_HAND_BASES[3], valuations=[3, 3, 1, 1, 0], units=[0, 1])
+    @example(base=_HAND_BASES[0], valuations=[6, 4, 2, None, None, 0], units=[2, -3])
+    @example(base=_HAND_BASES[2], valuations=[4, None, None, 2, None, None, 0], units=[-1, 5])
+    @example(base=_HAND_BASES[1], valuations=[5, 2, 3, 4, None, 1, 6, 1, 2], units=[7, 0, 1])
+    @example(base=_HAND_BASES[3], valuations=[0, 2, 0, 1], units=[4])
+    @example(base=_HAND_BASES[2], valuations=[5, 7, 2, 2, 3, 6, 1, None, 0, 0, 3], units=[-30, 30])
+    @example(base=_HAND_BASES[0], valuations=[2], units=[1, 1])
+    def test_polygon_matches_hull_of_hand_made_cloud(self, base, valuations, units):
+        # part j has valuation valuations[j] (None: a zero part) at a coefficient drawn from units; the running
+        # minimum skips parts unvalued, and the polygon is that of the full cloud
+        p, phi = base
+        d = phi.degree
+        parts = []
+        for j, v in enumerate(valuations):
+            cs = [0] * d
+            if v is not None:
+                u = units[j % len(units)]
+                cs = [p ** (v + 1) * units[(j + i) % len(units)] for i in range(d)]
+                cs[abs(u) % d] = p**v * (p * u + 1 + abs(u) % (p - 1))
+            parts.append(IntPoly(cs))
+        poly = principal_polygon(PhiExpansion(phi, tuple(parts)), p)
+        cloud = [(j, v) for j, v in enumerate(valuations) if v is not None]
+        assert poly.vertices == principal_vertices(cloud)
+        assert poly.sides == tuple(Side(a, b) for a, b in zip(poly.vertices, poly.vertices[1:]))
 
     @given(
         dev=st.sampled_from(_HAND_BASES).flatmap(
