@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -292,6 +293,37 @@ class TestPhiExpandOracle:
     def test_count_below_one_rejected(self, phi, count):
         with pytest.raises(ValueError, match="count"):
             phi_expand(QUARTIC, phi, count=count)
+
+
+# (F, phi) over every route of phi_expand: x^d - c (linear, cubic, and a dense F over x^2 - 3), the quadratic
+# recurrence, `_euler_parts` at d = 3, 4 and 5, and repeated division (phi(0) = 0, a double root, a0 = 0 and
+# a1^2 = 4 a0 for a quadratic phi, an F that is no x^n + f0, and short prefixes of the Euler cases)
+_ROUTE_GRID = [
+    (IntPoly.binomial(750, 44), IntPoly([3, 1])),
+    (IntPoly.binomial(100, 7), IntPoly([-2, 0, 0, 1])),
+    (IntPoly([3, -1, 0, 2, 0, 5, -7, 0, 1]), IntPoly([-3, 0, 1])),
+    (IntPoly.binomial(750, 44), IntPoly([4, 3, 1])),
+    (IntPoly.binomial(151, -2), IntPoly([-6, -5, 1])),
+    (IntPoly.binomial(120, 5), _EULER_PHIS[3]),
+    (IntPoly.binomial(245, 26), _EULER_PHIS[4]),
+    (IntPoly.binomial(100, -3), _EULER_PHIS[5]),
+    (IntPoly.binomial(100, 5), IntPoly([0, 3, 2, 1])),
+    (IntPoly.binomial(100, 5), IntPoly([1, 0, 2, 0, 1])),
+    (IntPoly.binomial(41, 44), IntPoly([0, 3, 1])),
+    (IntPoly.binomial(41, 44), IntPoly([4, 4, 1])),
+    (IntPoly([-5, 3] + [0] * 98 + [1]), _EULER_PHIS[4]),
+]
+# sha256 of the parts of every grid case at each count, taken before the parts became int tuples
+_ROUTE_GRID_DIGEST = "bc24acd636825c955595327644c44b1a90a5cf4f197a65c42fed7fbf4bfdd7e6"
+
+
+def test_phi_expand_bytes_pinned_on_route_grid():
+    lines = []
+    for F, phi in _ROUTE_GRID:
+        for count in (None, 1, 2, 3, 10):
+            exp = phi_expand(F, phi, count=count)
+            lines.append(repr(tuple(tuple(a.coeffs) for a in exp.parts)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ROUTE_GRID_DIGEST
 
 
 class TestTrustedConstructor:
