@@ -5,7 +5,7 @@ coefficient lists (ascending, trimmed, [] is zero) over a field backend: the
 `_p*` functions (add, subtract, scale, monic, derivative, gcd, inverse modulo
 a polynomial, power modulo a polynomial) and each backend's `pmul`/`pdivmod`.
 Over F_p those two are the int kernel of `_PrimeField`, whose multiply is the
-dense integer product `_int_pmul` that `polygon.IntPoly` multiplies with too.
+dense integer product `_int_pmul` that `polygon._mulmod` multiplies with too.
 `FpPoly` is the immutable F_p value type (construction, `divmod`, `%`).
 
 An element of F_q is a residue: its reduced coefficient tuple over phi (of
@@ -373,7 +373,7 @@ def _check_residues(base: FpPoly, coeffs: Sequence[tuple[int, ...]]) -> None:
 def _trimmed(cs: list) -> list:
     """cs without its zero top coefficients, trimmed in place.
 
-    Zero is falsy in both backends (0 and ()), and in `polygon.IntPoly`'s ints.
+    Zero is falsy in both backends (0 and ()), and among the ints of a development part.
     """
     while cs and not cs[-1]:
         cs.pop()
@@ -381,7 +381,7 @@ def _trimmed(cs: list) -> list:
 
 
 def _int_pmul(f, g):
-    """Dense product of integer coefficient sequences, unreduced; IntPoly and _PrimeField share it."""
+    """Dense product of integer coefficient sequences, unreduced; `polygon._mulmod` and _PrimeField share it."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)

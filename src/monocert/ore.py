@@ -83,8 +83,8 @@ def _develop(F: IntPoly, phi_bar: fppoly.FpPoly, p: int, count: int | None = Non
     """
     phi = IntPoly.lift(phi_bar)
     exp = phi_expand(F, phi, count=count)
-    while exp.parts[0].is_zero:
-        phi = phi + IntPoly.const(p)
+    while not exp.parts[0]:
+        phi = IntPoly._wrap((phi.coeffs[0] + p, *phi.coeffs[1:]))
         exp = phi_expand(F, phi, count=count)
     return exp
 

@@ -1,7 +1,10 @@
-"""Integer polynomials, phi-adic developments, principal Newton polygons and their residual polynomials.
+"""Integer polynomial input, phi-adic developments, principal Newton polygons and their residual polynomials.
 
-A residual polynomial is its coefficient tuple, each coefficient a residue
-over phi mod p, in the format `fppoly.fq_factor` takes.
+`IntPoly` is the input type: F, phi and the lifts built from them.  A part of
+a development is a plain coefficient tuple of ints (constant first, trimmed,
+() for zero): Ore's theorem reads only its p-adic valuation and its residues
+mod p.  A residual polynomial is its coefficient tuple, each coefficient a
+residue over phi mod p, in the format `fppoly.fq_factor` takes.
 
 All geometry is exact: cloud points are integer pairs, hull comparisons are
 integer cross products, slopes are Fractions in lowest terms.
@@ -21,10 +24,11 @@ from .fppoly import FpPoly, _check_modulus, _fmt_poly, _int_pmul, _trimmed, is_i
 
 
 class IntPoly:
-    """Dense polynomial with arbitrary-precision integer coefficients.
+    """Dense polynomial with arbitrary-precision integer coefficients: the input type of the engine.
 
-    A value type; its multiply is the integer product loop `fppoly._int_pmul`
-    that the F_p kernel reduces mod p.
+    An immutable value type holding F, phi and their lifts, with no ring
+    arithmetic: the engine computes on coefficient lists, and the parts of a
+    development are plain int tuples.
     """
 
     __slots__ = ("coeffs",)
@@ -48,18 +52,6 @@ class IntPoly:
         out = object.__new__(cls)
         _set_coeffs(out, tuple(coeffs))
         return out
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
 
     @classmethod
     def binomial(cls, n: int, m: int) -> "IntPoly":
@@ -90,40 +82,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly._wrap(_trimmed([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        # the top product is a product of two nonzero tops, so nothing to trim
-        return IntPoly._wrap(_int_pmul(self.coeffs, other.coeffs))
-
-    def scale(self, c: int) -> "IntPoly":
-        if not c:
-            return IntPoly.zero()
-        return IntPoly._wrap([c * a for a in self.coeffs])
-
-    def __divmod__(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Euclidean division; exact over Z, so the divisor must be monic."""
-        if not other.is_monic:
-            raise ValueError("division requires a monic divisor")
-        top = other.degree
-        rest = list(self.coeffs)
-        _divide_in_place(rest, other.coeffs)
-        return IntPoly._wrap(_trimmed(rest[top:])), IntPoly._wrap(_trimmed(rest[:top]))
-
-    def __mod__(self, other: "IntPoly") -> "IntPoly":
-        return divmod(self, other)[1]
-
-    def exact_div_scalar(self, k: int) -> "IntPoly":
-        if any(c % k for c in self.coeffs):
-            raise ValueError(f"coefficients not divisible by {k}")
-        return IntPoly._wrap([c // k for c in self.coeffs])
-
     def evaluate(self, a: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -132,14 +90,6 @@ class IntPoly:
 
     def reduce_mod(self, p: int) -> FpPoly:
         return FpPoly(p, self.coeffs)
-
-    def padic_valuation(self, p: int) -> int:
-        """min over nonzero coefficients of their p-adic valuations."""
-        if self.is_zero:
-            raise ValueError("valuation of the zero polynomial undefined")
-        if not arith.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return _content_valuation(self, p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPoly) and other.coeffs == self.coeffs
@@ -157,12 +107,12 @@ class IntPoly:
 _set_coeffs = IntPoly.coeffs.__set__  # the slot's own setter, which IntPoly.__setattr__ does not guard
 
 
-def _content_valuation(a: IntPoly, p: int) -> int:
-    """IntPoly.padic_valuation for a nonzero a and a p the caller has proven prime; p is not checked.
+def _content_valuation(coeffs: Sequence[int], p: int) -> int:
+    """The min of the p-adic valuations of the nonzero coefficients, some nonzero: the valuation of their gcd.
 
-    The min of the coefficients' valuations is the valuation of their gcd.
+    p is not checked; the caller has proven it prime.
     """
-    return arith._valuation(p, math.gcd(*a.coeffs))
+    return arith._valuation(p, math.gcd(*coeffs))
 
 
 def _integers(values: Iterable) -> list[int]:
@@ -180,16 +130,16 @@ def _divide_in_place(rest: list[int], dv: Sequence[int]) -> None:
     """Divide rest by the monic dv in place: rest[:deg dv] becomes the remainder, rest[deg dv:] the quotient.
 
     Quotient coefficient k is the value left at rest[k + deg dv].  A
-    quadratic dv = x^2 + a1 x + a0 (`cns.decode`'s digit base,
-    `IntPoly.__divmod__`'s divisor, `_mulmod`'s modulus, the phi that
-    `purefield._binomial_remainder` reduces x^u - m by, and `phi_expand`'s
-    phi when F is not x^n + f0 or phi has a0 = 0 or a double root) carries
-    the two pending coefficients below the top in locals, so each quotient
-    coefficient costs one list read, one list write and two products, zero
-    or not.  Every other degree subtracts c * d from the list and never
-    multiplies by a zero coefficient of dv; `phi_expand` divides by such a
-    phi when F is not x^n + f0, when phi(0) = 0 or phi has a double root,
-    or when the development is too short for `_euler_parts` to pay.
+    quadratic dv = x^2 + a1 x + a0 (`cns.decode`'s digit base, `_mulmod`'s
+    modulus, the phi that `purefield._binomial_remainder` reduces x^u - m
+    by, and `phi_expand`'s phi when F is not x^n + f0 or phi has a0 = 0 or
+    a double root) carries the two pending coefficients below the top in
+    locals, so each quotient coefficient costs one list read, one list
+    write and two products, zero or not.  Every other degree subtracts
+    c * d from the list and never multiplies by a zero coefficient of dv;
+    `phi_expand` divides by such a phi when F is not x^n + f0, when
+    phi(0) = 0 or phi has a double root, or when the development is too
+    short for `_euler_parts` to pay.
     """
     if len(dv) == 3 and len(rest) > 2:
         a0, a1 = dv[0], dv[1]
@@ -291,33 +241,36 @@ def _euler_parts(n: int, phi: Sequence[int], count: int) -> list[list[int]] | No
 class PhiExpansion:
     """F = sum parts[j] * base**j with deg parts[j] < deg base.
 
-    A prefix development (`phi_expand` with `count`) keeps only the leading
-    parts and satisfies F = sum parts[j] * base**j mod base**len(parts).
-    The public constructor checks the degree bound, so a longer part, which
-    belongs to no development in powers of base, raises a ValueError.
-    `phi_expand` returns through `_wrap`, which skips that check: each of
-    its routes builds every part below deg base, and the tests hold every
-    route to the public constructor on the same parts.
+    Each part is its coefficient tuple of ints, constant first, trimmed, ()
+    for zero.  A prefix development (`phi_expand` with `count`) keeps only
+    the leading parts and satisfies F = sum parts[j] * base**j mod
+    base**len(parts).  The public constructor checks each part's form, so a
+    list, an untrimmed tuple, a coefficient that is no int, or a longer part,
+    which belongs to no development in powers of base, raises a ValueError
+    naming the part.  `phi_expand` returns through `_wrap`, which skips that
+    check: each of its routes builds every part in that form, and the tests
+    hold every route to the public constructor on the same parts.
     """
 
     base: IntPoly
-    parts: tuple[IntPoly, ...]
+    parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         d = self.base.degree
-        if any(len(a.coeffs) > d for a in self.parts):
-            raise ValueError(f"every part must have degree below deg base = {d}")
+        for j, a in enumerate(self.parts):
+            if type(a) is not tuple or len(a) > d or (a and not a[-1]) or any(type(c) is not int for c in a):
+                raise ValueError(f"part {j} = {a!r} is no trimmed tuple of ints of degree below deg base = {d}")
 
     @classmethod
-    def _wrap(cls, base: IntPoly, parts: tuple[IntPoly, ...]) -> "PhiExpansion":
-        """A development the engine built, every part already below deg base: __post_init__ is skipped."""
+    def _wrap(cls, base: IntPoly, parts: tuple[tuple[int, ...], ...]) -> "PhiExpansion":
+        """A development the engine built, every part already in form: __post_init__ is skipped."""
         out = object.__new__(cls)
         out.__dict__.update(base=base, parts=parts)
         return out
 
 
 def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpansion:
-    """phi-adic development of F: parts[j] of degree < deg phi with F = sum parts[j] * phi**j.
+    """phi-adic development of F: parts[j] of degree < deg phi with F = sum parts[j] * phi**j, each an int tuple.
 
     With `count`, only parts[0 .. count-1] are developed (all of them when
     count exceeds deg F // deg phi + 1); the others are never computed.
@@ -370,7 +323,7 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 term = term * (c * j) // (k - j + 1)
                 if not term:
                     break
-        return PhiExpansion._wrap(phi, tuple(map(IntPoly._wrap, map(_trimmed, acc))))
+        return PhiExpansion._wrap(phi, tuple(tuple(_trimmed(row)) for row in acc))
     n = F.degree
     if d == 2 and n >= 1 and not any(F.coeffs[1:n]):
         a0, a1 = phi.coeffs[0], phi.coeffs[1]
@@ -387,22 +340,22 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
             v, u = 0, 1
             for _ in range(n):
                 v, u = u, -a1 * u - a0 * v
-            parts = [IntPoly._wrap(_trimmed([u + a1 * v + F.coeffs[0], v]))]
+            parts = [tuple(_trimmed([u + a1 * v + F.coeffs[0], v]))]
             for j in range(count - 1):
                 u = (2 * (n - 2 * j) * u + a1 * (n + 1) * v) // ((j + 1) * disc)
                 v = -((n - 2 * j - 1) * v + a1 * (j + 1) * u) // (2 * a0 * (j + 1))
-                parts.append(IntPoly._wrap(_trimmed([u + a1 * v, v])))
+                parts.append(tuple(_trimmed([u + a1 * v, v])))
             return PhiExpansion._wrap(phi, tuple(parts))
     if d >= 3 and not any(F.coeffs[1:n]) and count * (2 * n - d * (count - 1)) > 2 * _EULER_MIN_QUOTIENT:
         parts = _euler_parts(n, phi.coeffs, count)
         if parts is not None:
             parts[0][0] += F.coeffs[0]
-            return PhiExpansion._wrap(phi, tuple(map(IntPoly._wrap, map(_trimmed, parts))))
+            return PhiExpansion._wrap(phi, tuple(tuple(_trimmed(row)) for row in parts))
     parts = []
     rest = list(F.coeffs)
     while len(parts) < count:
         _divide_in_place(rest, phi.coeffs)
-        parts.append(IntPoly._wrap(_trimmed(rest[:d])))
+        parts.append(tuple(_trimmed(rest[:d])))
         del rest[:d]
     return PhiExpansion._wrap(phi, tuple(parts))
 
@@ -519,12 +472,12 @@ def principal_polygon(exp: PhiExpansion, p: int) -> PrincipalPolygon:
         raise ValueError("base must stay monic mod p")
     if not is_irreducible(phi_bar):
         raise ValueError(f"{phi_bar} is not irreducible")
-    if exp.parts and exp.parts[0].is_zero:
+    if exp.parts and not exp.parts[0]:
         raise ValueError("base divides the polynomial over Z; the polygon is unbounded")
     cloud = []
     pv = 0  # p^v for the lowest valuation v so far, 0 before part 0
     for j, a in enumerate(exp.parts):
-        g = math.gcd(*a.coeffs)
+        g = math.gcd(*a)
         if pv and not g % pv:
             continue
         v = arith._valuation(p, g)
@@ -569,16 +522,16 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[in
     """Residual polynomial attached to a side of the principal polygon, as its coefficient tuple.
 
     coeffs[j], the coefficient of y^j, comes from the development part at
-    abscissa s + j*e, where the side is at height t: part / p^t reduced mod
-    p, as a residue over phi_bar = base mod p (ints in [0, p), constant
-    first, trimmed, () for zero), the format `fppoly.fq_factor` takes.  The
-    gcd of the part's coefficients is divisible by p^t exactly when its
-    cloud point is on or above the side, and a part strictly above the side,
-    or a zero part, reduces to ().  Every part is below deg phi (the
-    public `PhiExpansion` checks it, and `phi_expand` builds it so), so the
-    reduction mod p is already reduced modulo phi_bar.  A side reaching
-    past the last developed part is rejected, since a prefix development
-    does not know the parts beyond it.
+    abscissa s + j*e, where the side is at height t: the part's ints divided
+    by p^t and reduced mod p, as a residue over phi_bar = base mod p (ints
+    in [0, p), constant first, trimmed, () for zero), the format
+    `fppoly.fq_factor` takes.  The gcd of the part's ints is divisible by
+    p^t exactly when its cloud point is on or above the side, and a part
+    strictly above the side, or a zero part, reduces to ().  Every part is
+    below deg phi (the public `PhiExpansion` checks it, and `phi_expand`
+    builds it so), so the reduction mod p is already reduced modulo
+    phi_bar.  A side reaching past the last developed part is rejected,
+    since a prefix development does not know the parts beyond it.
     """
     _check_modulus(p)
     (s, ys) = side.start
@@ -590,7 +543,7 @@ def residual_polynomial(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[in
         raise ValueError("side endpoints must lie on the polygon")
     coeffs = []
     for j in range(d + 1):
-        part = exp.parts[s + j * e].coeffs
+        part = exp.parts[s + j * e]
         pt = p ** (ys - j * step)
         if math.gcd(*part) % pt:
             raise ValueError("side does not bound the development cloud")

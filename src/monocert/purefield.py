@@ -184,15 +184,16 @@ class ClosedFormData:
     is all the construction reads.  The correction polynomial H is defined by
     (m + pT)^q = m^q + p^(r+1) H; only its remainder R mod phi is built.
     A0 = p^(r+1) R + m^q - m is the constant part of the development of
-    x^n - m.
+    x^n - m.  R and A0 are int tuples, the format of a development part
+    (`polygon.PhiExpansion`).
     """
 
     p: int
     r: int
     u: int
     phi: IntPoly
-    R: IntPoly
-    A0: IntPoly
+    R: tuple[int, ...]
+    A0: tuple[int, ...]
     nu0: int
     points: tuple[tuple[int, int], ...]
 
@@ -225,7 +226,7 @@ def closed_form_lift(u: int, m: int, p: int, phi_bar: fppoly.FpPoly) -> IntPoly:
     if not phi.is_monic or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
     if not any(c % (p * p) for c in _binomial_remainder(u, m, p, phi)):
-        phi = phi + IntPoly.const(p)
+        phi = IntPoly._wrap((phi.coeffs[0] + p, *phi.coeffs[1:]))
     return phi
 
 
@@ -270,10 +271,14 @@ def closed_form_polygon(n: int, m: int, p: int, phi: IntPoly) -> ClosedFormData:
         raise ValueError("phi divides the cofactor T mod p; use closed_form_lift")
     base[0] += m
     q = p**r
-    S = IntPoly._wrap(_powmod(base, q, phi.coeffs))
-    R = (S - IntPoly.const(m**q)).exact_div_scalar(p ** (r + 1))
-    A0 = S - IntPoly.const(m)
-    if A0.is_zero:
+    S = _powmod(base, q, phi.coeffs) or [0]
+    k = p ** (r + 1)
+    R = [S[0] - m**q, *S[1:]]
+    if any(c % k for c in R):
+        raise ValueError(f"coefficients not divisible by {k}")
+    R = tuple(fppoly._trimmed([c // k for c in R]))
+    A0 = tuple(fppoly._trimmed([S[0] - m, *S[1:]]))
+    if not A0:
         raise ValueError("degenerate constant part")
     nu0 = _content_valuation(A0, p)  # p was proven prime above
     points = ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))

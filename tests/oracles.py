@@ -5,14 +5,15 @@ discriminant whenever p ramifies), decoding checks phi-adic developments, and
 the closed-form discriminant of x^n - a is cross-checked against the
 resultant route.  The closed-form polygon is checked against its binomial
 sum taken term by term, over the cofactors U, T of x^u - m = phi*U + p*T
-from a division over F_p, residual coefficients against a division that goes
-through IntPoly, principal polygons against a lower convex hull that sorts
-and dedups its own cloud, every IntPoly the engine builds unchecked against
-the public constructor, Ore's index against a column-by-column lattice
-count, the irreducibility test of x^n - m against the rule that factors n,
-in-place division by a monic divisor against the loop that subtracts c * d
-for each nonzero coefficient d below the top,
-and irreducibility over F_p and over F_q = F_p[x]/(base) against trial
+from a division over F_p, residual coefficients against each coefficient's
+own valuation and an exact division followed by FpPoly's reduction mod phi,
+principal polygons against a lower convex hull that sorts and dedups its own
+cloud, every IntPoly and development part the engine builds unchecked
+against the public constructor, Ore's index against a column-by-column
+lattice count, the irreducibility test of x^n - m against the rule that
+factors n, in-place division by a monic divisor against the loop that
+subtracts c * d for each nonzero coefficient d below the top, and
+irreducibility over F_p and over F_q = F_p[x]/(base) against trial
 division, the latter with its residue arithmetic done by
 FpPoly division mod base rather than by the factoring engine.  CNS digit
 strings are decoded by Horner's rule and encoded one backward-division step
@@ -21,6 +22,11 @@ against all thirteen Miller-Rabin bases at every size, and factorizations
 against trial division.  The paper's family corollaries are evaluated as
 their congruence conditions, for the tests to hold the general
 splitting-count criterion to them.
+
+Integer polynomial arithmetic is done here on coefficient sequences
+(constant first; results are trimmed tuples, () for zero): a schoolbook
+product loop, a sum, exact division by a scalar, and Euclidean division by
+`divide_in_place_by_loop`, none of them shared with the library.
 """
 
 import itertools
@@ -109,56 +115,92 @@ def divide_in_place_by_loop(rest: list[int], dv) -> None:
                 rest[k + j] -= c * d
 
 
+def poly_add(f, g, c: int = 1) -> tuple:
+    """f + c * g on integer coefficient sequences, trimmed; poly_add(f, ()) trims f."""
+    out = [a + c * b for a, b in itertools.zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def poly_mul(f, g) -> tuple:
+    """f * g on integer coefficient sequences, by the schoolbook product loop."""
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_add(out, ())
+
+
+def poly_divmod(f, g) -> tuple[tuple, tuple]:
+    """Quotient and remainder of f by the monic g, by `divide_in_place_by_loop`."""
+    if not g or g[-1] != 1:
+        raise ValueError("division requires a monic divisor")
+    rest = list(f)
+    divide_in_place_by_loop(rest, g)
+    return poly_add(rest[len(g) - 1 :], ()), poly_add(rest[: len(g) - 1], ())
+
+
+def poly_exact_div(f, k: int) -> tuple:
+    """f / k on integer coefficients, every one of which k must divide."""
+    if any(c % k for c in f):
+        raise ValueError(f"coefficients not divisible by {k}")
+    return tuple(c // k for c in f)
+
+
 def decode(exp: PhiExpansion) -> IntPoly:
     """sum parts[j] * base**j: the polynomial a development encodes."""
-    out = IntPoly.zero()
-    power = IntPoly.const(1)
+    out, power = (), (1,)
     for part in exp.parts:
-        out = out + part * power
-        power = power * exp.base
-    return out
+        out = poly_add(out, poly_mul(part, power))
+        power = poly_mul(power, exp.base.coeffs)
+    return IntPoly(out)
 
 
-def is_canonical(a: IntPoly) -> bool:
-    """a is what the public constructor builds from its coefficients: ints, trimmed."""
-    return a == IntPoly(list(a.coeffs)) and all(type(c) is int for c in a.coeffs)
+def is_canonical(a) -> bool:
+    """a, an IntPoly or a part's coefficient tuple, is what the public constructor builds: ints, trimmed."""
+    cs = a.coeffs if isinstance(a, IntPoly) else a
+    return type(cs) is tuple and cs == IntPoly(cs).coeffs and all(type(c) is int for c in cs)
 
 
-def cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """U, T with x^u - m = phi*U + p*T, U the [0, p) lift of (x^u - m)/phi mod p."""
+def cofactor_pair(u: int, m: int, p: int, phi: IntPoly) -> tuple[tuple, tuple]:
+    """U, T with x^u - m = phi*U + p*T, U the [0, p) lift of (x^u - m)/phi mod p, as coefficient tuples."""
     phi_bar = phi.reduce_mod(p)
-    small = IntPoly.binomial(u, m).reduce_mod(p)
-    quot, rem = divmod(small, phi_bar)
+    quot, rem = divmod(IntPoly.binomial(u, m).reduce_mod(p), phi_bar)
     if not rem.is_zero:
         raise ValueError(f"{phi_bar} does not divide x^{u} - {m} mod {p}")
-    U = IntPoly.lift(quot)
-    T = (IntPoly.binomial(u, m) - phi * U).exact_div_scalar(p)
-    return U, T
+    T = poly_exact_div(poly_add(IntPoly.binomial(u, m).coeffs, poly_mul(phi.coeffs, quot.coeffs), -1), p)
+    return quot.coeffs, T
 
 
-def closed_form_horner(m: int, p: int, r: int, phi: IntPoly, T: IntPoly) -> tuple[IntPoly, IntPoly, int, tuple]:
+def closed_form_horner(m: int, p: int, r: int, phi: IntPoly, T) -> tuple[tuple, tuple, int, tuple]:
     """R, A0, nu0 and points of the closed-form polygon by the binomial sum, in q = p^r Horner steps.
 
     R = H mod phi for H = m^(q-1) T + p^-(r+1) sum_{j=0}^{q-2} C(q, j) m^j (pT)^(q-j), the sum
     accumulated by Horner in powers of pT and reduced mod phi at every step; reducing mod the
-    monic phi is Z-linear, so it commutes with the exact division by p^(r+1).
+    monic phi is Z-linear, so it commutes with the exact division by p^(r+1).  R and A0 are
+    coefficient tuples.
     """
     q = p**r
-    pT = T.scale(p) % phi
-    acc = IntPoly.zero()
+
+    def mod(f):
+        return poly_divmod(f, phi.coeffs)[1]
+
+    pT = mod(poly_add((), T, p))
+    acc = ()
     for k in range(q, 1, -1):
-        acc = acc + IntPoly.const(math.comb(q, q - k) * m ** (q - k))
+        acc = poly_add(acc, (math.comb(q, q - k) * m ** (q - k),))
         if k > 2:
-            acc = acc * pT % phi
-    acc = acc * pT % phi * pT % phi
-    R = (T.scale(m ** (q - 1)) % phi) + acc.exact_div_scalar(p ** (r + 1))
-    A0 = R.scale(p ** (r + 1)) + IntPoly.const(m**q - m)
-    nu0 = A0.padic_valuation(p)
+            acc = mod(poly_mul(acc, pT))
+    acc = mod(poly_mul(mod(poly_mul(acc, pT)), pT))
+    R = poly_add(mod(poly_add((), T, m ** (q - 1))), poly_exact_div(acc, p ** (r + 1)))
+    A0 = poly_add((m**q - m,), R, p ** (r + 1))
+    nu0 = min(arith.padic_valuation(p, c) for c in A0 if c)
     return R, A0, nu0, ((0, nu0),) + tuple((p**j, r - j) for j in range(r + 1))
 
 
 def residual_coefficients(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[int, ...], ...]:
-    """Residual coefficients of a side: part / p^target through IntPoly, reduced mod (p, phi), () above the side.
+    """Residual coefficients of a side: part / p^target by exact division, reduced mod (p, phi), () above the side.
 
     A part's valuation is the min over its coefficients, each valued on its own.
     """
@@ -168,11 +210,10 @@ def residual_coefficients(exp: PhiExpansion, side: Side, p: int) -> tuple[tuple[
     out = []
     for j in range(side.side_degree + 1):
         part, target = exp.parts[s + j * side.ram_index], ys - j * step
-        if part.is_zero or min(arith.padic_valuation(p, c) for c in part.coeffs if c) > target:
+        if not part or min(arith.padic_valuation(p, c) for c in part if c) > target:
             out.append(())
         else:
-            unit = part.exact_div_scalar(p**target)
-            out.append((unit.reduce_mod(p) % phi_bar).coeffs)
+            out.append((FpPoly(p, poly_exact_div(part, p**target)) % phi_bar).coeffs)
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ class TestParsePoly:
         assert parse_poly("2x^3 - x + 5") == IntPoly([5, -1, 0, 2])
         assert parse_poly("-x^2") == IntPoly([0, 0, -1])
         assert parse_poly("7") == IntPoly([7])
-        assert parse_poly("x") == IntPoly.x()
+        assert parse_poly("x") == IntPoly([0, 1])
 
     def test_rejects_garbage(self):
         for bad in ("", "x^", "y+1", "x**"):

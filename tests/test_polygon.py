@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,10 @@ from oracles import (
     divide_in_place_by_loop,
     is_canonical,
     lower_convex_hull,
+    poly_add,
+    poly_divmod,
+    poly_exact_div,
+    poly_mul,
     polygon_index_by_columns,
     principal_vertices,
     residual_coefficients,
@@ -46,9 +51,13 @@ class TestIntPoly:
         with pytest.raises(ValueError, match="1.5 is not an integer"):
             IntPoly([1.5, 1])
 
+
+class TestOracleRing:
+    """The tests' own integer polynomial arithmetic on coefficient sequences, which the library does not share."""
+
     def test_divmod_requires_monic(self):
         with pytest.raises(ValueError, match="monic"):
-            divmod(IntPoly([1, 1]), IntPoly([1, 2]))
+            poly_divmod((1, 1), (1, 2))
 
     @given(
         fc=st.lists(st.one_of(st.integers(-20, 20), _huge), min_size=1, max_size=9),
@@ -58,19 +67,29 @@ class TestIntPoly:
     @example(fc=[-7, 2], gc=[2**600, -(2**600)])
     @example(fc=[1, 0, 0, 0, 0, 0, 0, 1], gc=[1, 1])  # x^7 + 1 by x^2 + x + 1
     def test_divmod_identity(self, fc, gc):
-        f = IntPoly(fc)
-        g = IntPoly(gc + [1])
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
+        f, g = IntPoly(fc).coeffs, tuple(gc) + (1,)
+        q, r = poly_divmod(f, g)
+        assert poly_add(poly_mul(q, g), r) == f
+        assert len(r) < len(g)
 
-    def test_valuation(self):
-        assert IntPoly([12, 8, 2]).padic_valuation(2) == 1
-        assert IntPoly([0, 8]).padic_valuation(2) == 3
-        with pytest.raises(ValueError):
-            IntPoly.zero().padic_valuation(2)
-        with pytest.raises(ValueError, match="not prime"):
-            IntPoly([4, 8]).padic_valuation(4)
+    @given(
+        a=st.lists(st.integers(-50, 50), max_size=6).map(lambda cs: IntPoly(cs).coeffs),
+        b=st.lists(st.integers(-50, 50), max_size=6).map(lambda cs: IntPoly(cs).coeffs),
+        c=st.integers(-9, 9),
+    )
+    def test_products_and_scalars(self, a, b, c):
+        # each result is a canonical tuple, and a product or sum takes the values of the product or sum
+        for x in (-2, 0, 3):
+            assert IntPoly(poly_mul(a, b)).evaluate(x) == IntPoly(a).evaluate(x) * IntPoly(b).evaluate(x)
+            assert IntPoly(poly_add(a, b, c)).evaluate(x) == IntPoly(a).evaluate(x) + c * IntPoly(b).evaluate(x)
+        assert is_canonical(poly_mul(a, b))
+        assert is_canonical(poly_add(a, b, c))
+        assert poly_add((), a, c) == IntPoly([c * x for x in a]).coeffs
+        if c:
+            assert poly_exact_div(poly_add((), a, c), c) == a
+            assert is_canonical(poly_exact_div(poly_add((), a, c), c))
+        with pytest.raises(ValueError, match="not divisible by 2"):
+            poly_exact_div((4, 3), 2)
 
 
 class TestResultant:
@@ -80,7 +99,7 @@ class TestResultant:
         assert discriminant(IntPoly([2, 2, 1])) == -4
 
     def test_resultant_of_coprime_vs_shared_root(self):
-        f = IntPoly([-1, 1]) * IntPoly([-2, 1])
+        f = IntPoly(poly_mul([-1, 1], [-2, 1]))
         assert resultant(f, IntPoly([-1, 1])) == 0
         assert resultant(f, IntPoly([-3, 1])) == 2  # f(3) = 2
 
@@ -90,18 +109,18 @@ class TestResultant:
             f = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
             g = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
             h = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
-            assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
+            assert resultant(IntPoly(poly_mul(f.coeffs, g.coeffs)), h) == resultant(f, h) * resultant(g, h)
 
 
 class TestPhiExpand:
     def test_quartic_parts(self):
         exp = phi_expand(QUARTIC, PHI1)
-        assert [list(a.coeffs) for a in exp.parts] == [[-16], [4], [6], [4], [1]]
+        assert [list(a) for a in exp.parts] == [[-16], [4], [6], [4], [1]]
 
     def test_base_x_gives_coefficients(self):
         F = IntPoly([3, -1, 0, 2, 1])
-        exp = phi_expand(F, IntPoly.x())
-        assert tuple(a.coeffs[0] if a.coeffs else 0 for a in exp.parts) == F.coeffs
+        exp = phi_expand(F, IntPoly([0, 1]))
+        assert tuple(a[0] if a else 0 for a in exp.parts) == F.coeffs
 
     def test_rejects_nonmonic(self):
         with pytest.raises(ValueError):
@@ -116,7 +135,7 @@ class TestPhiExpand:
         phi = IntPoly(gc + [1])
         exp = phi_expand(F, phi)
         assert decode(exp) == F
-        assert all(a.degree < phi.degree for a in exp.parts)
+        assert all(len(a) <= phi.degree for a in exp.parts)
 
 
 def _naive_phi_expand(F, phi):
@@ -129,7 +148,7 @@ def _naive_phi_expand(F, phi):
             c = quot[k] = rest[k + d]
             for j, a in enumerate(phi.coeffs):
                 rest[k + j] -= c * a
-        parts.append(IntPoly(rest[:d]))
+        parts.append(IntPoly(rest[:d]).coeffs)
         rest = quot
     return tuple(parts)
 
@@ -216,10 +235,10 @@ class TestPhiExpandOracle:
         assert exp.parts == full[:count]
         assert all(is_canonical(a) for a in exp.parts)
         # F = sum parts[j] phi^j mod phi^len(parts)
-        power = IntPoly.const(1)
+        power = (1,)
         for _ in exp.parts:
-            power = power * phi
-        assert (F - decode(exp)) % power == IntPoly.zero()
+            power = poly_mul(power, phi.coeffs)
+        assert poly_divmod(poly_add(F.coeffs, decode(exp).coeffs, -1), power)[1] == ()
 
     @given(
         F=st.one_of(_binomial_fs, _euler_fs),
@@ -268,7 +287,7 @@ class TestPhiExpandOracle:
         count = min(count, n // 2 + 1)
         parts = polygon._euler_parts(n, phi.coeffs, count)
         parts[0][0] += f0
-        assert tuple(IntPoly(a) for a in parts) == phi_expand(IntPoly.binomial(n, -f0), phi, count=count).parts
+        assert tuple(IntPoly(a).coeffs for a in parts) == phi_expand(IntPoly.binomial(n, -f0), phi, count=count).parts
 
     @given(
         case=st.one_of(
@@ -322,12 +341,12 @@ def test_phi_expand_bytes_pinned_on_route_grid():
     for F, phi in _ROUTE_GRID:
         for count in (None, 1, 2, 3, 10):
             exp = phi_expand(F, phi, count=count)
-            lines.append(repr(tuple(tuple(a.coeffs) for a in exp.parts)))
+            lines.append(repr(tuple(exp.parts)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ROUTE_GRID_DIGEST
 
 
 class TestTrustedConstructor:
-    """Every IntPoly built without the public constructor's checks is one it would build."""
+    """Every IntPoly and development part built without the public constructor's checks is one it would build."""
 
     @pytest.mark.parametrize(
         "F,phi,want",
@@ -337,14 +356,14 @@ class TestTrustedConstructor:
             (IntPoly([1, 0, 0, 0, 1]), IntPoly.binomial(2, 2), [[5], [4], [1]]),
             (QUARTIC, PHI1, [[-16], [4], [6], [4], [1]]),
             # the division branch, with a zero middle part and a zero part 0
-            (IntPoly([1, 1, 1]) * IntPoly([1, 1, 1]) + IntPoly.const(1), IntPoly([1, 1, 1]), [[1], [], [1]]),
-            (IntPoly([1, 1, 1]) * IntPoly([1, 1, 1]) * IntPoly([6, 1, 1]), IntPoly([1, 1, 1]), [[], [], [5], [1]]),
+            (IntPoly(poly_add(poly_mul([1, 1, 1], [1, 1, 1]), [1])), IntPoly([1, 1, 1]), [[1], [], [1]]),
+            (IntPoly(poly_mul(poly_mul([1, 1, 1], [1, 1, 1]), [6, 1, 1])), IntPoly([1, 1, 1]), [[], [], [5], [1]]),
         ],
     )
     @pytest.mark.parametrize("count", [None, 1, 2, 3, 9])
     def test_phi_expand_parts(self, F, phi, want, count):
         parts = phi_expand(F, phi, count=count).parts
-        assert [list(a.coeffs) for a in parts] == want[:count]
+        assert [list(a) for a in parts] == want[:count]
         assert all(is_canonical(a) for a in parts)
 
     @given(
@@ -356,13 +375,18 @@ class TestTrustedConstructor:
         ),
         count=st.none() | st.integers(1, 130),
     )
-    # one example per route: x^d - c, the quadratic recurrence, `_euler_parts` (full and prefix), division
+    # every route: x^d - c, the quadratic recurrence, `_euler_parts` (full and prefix), and division, for
+    # phi(0) = 0, a double root, a quadratic phi with a0 = 0 or a1^2 = 4 a0, and an F that is no x^n + f0
     @example(case=(IntPoly.binomial(750, 44), IntPoly([3, 1])), count=None)
     @example(case=(IntPoly.binomial(6, 5), IntPoly.binomial(2, 0)), count=None)
+    @example(case=(IntPoly.binomial(100, 7), IntPoly([-2, 0, 0, 1])), count=None)
     @example(case=(IntPoly.binomial(750, 44), IntPoly([4, 3, 1])), count=None)
     @example(case=(IntPoly.binomial(245, 26), _EULER_PHIS[4]), count=None)
     @example(case=(IntPoly.binomial(245, 26), _EULER_PHIS[4]), count=2)
     @example(case=(IntPoly.binomial(100, 5), IntPoly([0, 3, 2, 1])), count=None)
+    @example(case=(IntPoly.binomial(100, 5), IntPoly([1, 0, 2, 0, 1])), count=None)
+    @example(case=(IntPoly.binomial(41, 44), IntPoly([0, 3, 1])), count=None)
+    @example(case=(IntPoly.binomial(41, 44), IntPoly([4, 4, 1])), count=None)
     @example(case=(IntPoly([-5, 3] + [0] * 98 + [1]), _EULER_PHIS[4]), count=None)
     def test_phi_expand_routes_match_public_constructor(self, case, count):
         # phi_expand returns through the unchecked PhiExpansion._wrap; the checked constructor takes the same parts
@@ -370,6 +394,20 @@ class TestTrustedConstructor:
         exp = phi_expand(F, phi, count=count)
         assert exp == PhiExpansion(phi, exp.parts)
         assert all(is_canonical(a) for a in exp.parts)
+
+    @pytest.mark.parametrize(
+        "phi, part",
+        [
+            (IntPoly([1, 1, 1]), [1, 2]),  # a list
+            (PHI1, (3, 0)),  # untrimmed, and so too long for a linear base
+            (IntPoly([1, 1, 1]), (3, 0)),  # untrimmed
+            (IntPoly([1, 1, 1]), (1.0, 2)),  # a float coefficient
+            (IntPoly([1, 1, 1]), (1, 2, 3)),  # of degree deg base
+        ],
+    )
+    def test_public_constructor_rejects_malformed_parts(self, phi, part):
+        with pytest.raises(ValueError, match=rf"part 1 = {re.escape(repr(part))} is no trimmed tuple of ints"):
+            PhiExpansion(phi, ((1,), part))
 
     @pytest.mark.parametrize("n, m", [(5, 0), (3, -7), (4, 2**200 + 1), (1, 9), (1, -(2**200))])
     def test_binomial(self, n, m):
@@ -390,18 +428,6 @@ class TestTrustedConstructor:
         assert is_canonical(IntPoly.lift(f))
         assert IntPoly.lift(f) == IntPoly(f.coeffs)
 
-    @given(
-        a=st.lists(st.integers(-50, 50), max_size=6).map(IntPoly),
-        b=st.lists(st.integers(-50, 50), max_size=6).map(IntPoly),
-        c=st.integers(-9, 9),
-    )
-    def test_products_and_scalars(self, a, b, c):
-        assert is_canonical(a * b)
-        assert is_canonical(a.scale(c))
-        assert a.scale(c) == IntPoly([c * x for x in a.coeffs])
-        if c:
-            assert a.scale(c).exact_div_scalar(c) == a
-            assert is_canonical(a.scale(c).exact_div_scalar(c))
 
 
 class TestPrincipalPolygon:
@@ -412,13 +438,13 @@ class TestPrincipalPolygon:
         assert [(s.side_degree, s.ram_index) for s in poly.sides] == [(1, 1), (1, 1), (1, 2)]
 
     def test_eisenstein_single_side(self):
-        poly = principal_polygon(phi_expand(IntPoly.binomial(3, 2), IntPoly.x()), 2)
+        poly = principal_polygon(phi_expand(IntPoly.binomial(3, 2), IntPoly([0, 1])), 2)
         assert poly.vertices == ((0, 1), (3, 0))
         (side,) = poly.sides
         assert (side.ram_index, side.side_degree) == (3, 1)
 
     def test_empty_when_unit_constant(self):
-        poly = principal_polygon(phi_expand(IntPoly.binomial(3, 2), IntPoly.x()), 5)
+        poly = principal_polygon(phi_expand(IntPoly.binomial(3, 2), IntPoly([0, 1])), 5)
         assert poly.is_empty
         assert poly.vertices == ()
 
@@ -427,7 +453,7 @@ class TestPrincipalPolygon:
             principal_polygon(phi_expand(QUARTIC, IntPoly([1, 0, 1])), 2)
 
     def test_exact_divisor_rejected(self):
-        F = IntPoly([-1, 1]) * IntPoly([2, 1]) + IntPoly.zero()
+        F = IntPoly(poly_mul([-1, 1], [2, 1]))
         with pytest.raises(ValueError, match="divides"):
             principal_polygon(phi_expand(F, IntPoly([-1, 1])), 3)
 
@@ -512,7 +538,7 @@ class TestResidualPolynomial:
 
     def test_interior_point_above_gives_zero(self):
         # x^2 - 12 at 2: side (0,2)-(2,0), the middle column is absent
-        exp = phi_expand(IntPoly.binomial(2, 12), IntPoly.x())
+        exp = phi_expand(IntPoly.binomial(2, 12), IntPoly([0, 1]))
         poly = principal_polygon(exp, 2)
         (side,) = poly.sides
         res = residual_polynomial(exp, side, 2)
@@ -554,7 +580,7 @@ class TestResidualPolynomial:
     def test_unreduced_development_rejected(self):
         # a constant part 2x^3 reaches past deg phi = 2, so it belongs to no development in powers of x^2 + x + 1
         with pytest.raises(ValueError, match="below deg base = 2"):
-            PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([0, 0, 0, 2]), IntPoly([1])))
+            PhiExpansion(IntPoly([1, 1, 1]), ((0, 0, 0, 2), (1,)))
 
     def test_mismatched_side_rejected(self):
         exp = phi_expand(QUARTIC, PHI1)
@@ -629,9 +655,11 @@ class TestKernelOracles:
     )
     @example(cs=[-(3**560), 0, 2 * 3**570], k=0, p=3)  # 888-bit coefficients, the negative one of least valuation
     @example(cs=[0, 0, -7], k=2, p=7)
+    @example(cs=[12, 8, 2], k=0, p=2)
+    @example(cs=[0, 8], k=0, p=2)
     def test_content_valuation_is_min_of_coefficient_valuations(self, cs, k, p):
-        a = IntPoly([c * p**k for c in cs])
-        assert polygon._content_valuation(a, p) == min(arith.padic_valuation(p, c) for c in a.coeffs if c)
+        a = [c * p**k for c in cs]
+        assert polygon._content_valuation(a, p) == min(arith.padic_valuation(p, c) for c in a if c)
 
     @given(
         rest=st.lists(st.one_of(st.just(0), st.integers(-9, 9), _huge), max_size=60),
@@ -662,12 +690,12 @@ class TestKernelOracles:
     @example(low=[5], base=[], e=3)  # a zero base
     @example(low=[2, 0, 1], base=[0, 1], e=12)
     def test_powmod_matches_repeated_products(self, low, base, e):
-        dv = IntPoly(low + [1])
-        b = IntPoly(base) % dv
-        want = IntPoly.const(1)
+        dv = tuple(low) + (1,)
+        b = poly_divmod(base, dv)[1]
+        want = poly_divmod((1,), dv)[1]
         for _ in range(e):
-            want = want * b % dv
-        assert polygon._powmod(list(b.coeffs), e, dv.coeffs) == list(want.coeffs)
+            want = poly_divmod(poly_mul(want, b), dv)[1]
+        assert polygon._powmod(list(b), e, dv) == list(want)
 
     @given(
         column=st.dictionaries(st.integers(0, 40), st.integers(0, 30), max_size=14),
@@ -706,11 +734,9 @@ class TestKernelOracles:
             F = IntPoly([rng.randint(-60, 60) * p ** rng.randint(0, 3) for _ in range(rng.randint(2, 14))] + [1])
             phi_bar = rng.choice([f for f, _ in fppoly.factor(F.reduce_mod(p)).factors])
             exp = phi_expand(F, IntPoly.lift(phi_bar))
-            if exp.parts[0].is_zero:
+            if not exp.parts[0]:
                 continue
-            cloud = [
-                (j, min(arith.padic_valuation(p, c) for c in a.coeffs if c)) for j, a in enumerate(exp.parts) if a.coeffs
-            ]
+            cloud = [(j, min(arith.padic_valuation(p, c) for c in a if c)) for j, a in enumerate(exp.parts) if a]
             assert principal_polygon(exp, p).vertices == principal_vertices(cloud), (F, p, phi_bar)
             checked += 1
 
@@ -737,7 +763,7 @@ class TestKernelOracles:
                 u = units[j % len(units)]
                 cs = [p ** (v + 1) * units[(j + i) % len(units)] for i in range(d)]
                 cs[abs(u) % d] = p**v * (p * u + 1 + abs(u) % (p - 1))
-            parts.append(IntPoly(cs))
+            parts.append(IntPoly(cs).coeffs)
         poly = principal_polygon(PhiExpansion(phi, tuple(parts)), p)
         cloud = [(j, v) for j, v in enumerate(valuations) if v is not None]
         assert poly.vertices == principal_vertices(cloud)
@@ -759,13 +785,13 @@ class TestKernelOracles:
     def test_residuals_match_fppoly_route(self, dev):
         # hand-made parts below deg phi; a longer one is no part of a development and is rejected
         (p, phi), parts = dev
-        parts = tuple(IntPoly([c * p**k for c in cs]) for cs, k in parts)
-        if any(a.degree >= phi.degree for a in parts):
+        parts = tuple(IntPoly([c * p**k for c in cs]).coeffs for cs, k in parts)
+        if any(len(a) > phi.degree for a in parts):
             with pytest.raises(ValueError, match="below deg base"):
                 PhiExpansion(phi, parts)
             return
         exp = PhiExpansion(phi, parts)
-        assume(not exp.parts[0].is_zero)
+        assume(exp.parts[0])
         for side in principal_polygon(exp, p).sides:
             want = residual_coefficients(exp, side, p)
             if want[0] and want[-1]:
@@ -775,7 +801,7 @@ class TestKernelOracles:
                     residual_polynomial(exp, side, p)
 
     def test_residual_route_examples(self):
-        # the one coefficient route (p^t divides the gcd, then c // p^t % p) against the IntPoly route
+        # the one coefficient route (p^t divides the gcd, then c // p^t % p) against the oracle's exact division
         big = 2**600
         cases = [
             (2, IntPoly([1, 1, 1]), [[4], [], [1]]),  # a zero interior part
@@ -784,13 +810,13 @@ class TestKernelOracles:
             (5, IntPoly([3, 1]), [[-125 * (big + 1)], [25 * big], [-5], [-1 - big]]),
         ]
         for p, phi, parts in cases:
-            exp = PhiExpansion(phi, tuple(IntPoly(cs) for cs in parts))
+            exp = PhiExpansion(phi, tuple(map(tuple, parts)))
             sides = principal_polygon(exp, p).sides
             assert sides
             for side in sides:
                 assert residual_polynomial(exp, side, p) == residual_coefficients(exp, side, p), (p, parts, side)
         assert residual_polynomial(exp, sides[0], p) == ((3,), (1,), (4,), (3,))  # 2^600 = 1 mod 5
-        exp = PhiExpansion(IntPoly([1, 1, 1]), (IntPoly([16]), IntPoly([2]), IntPoly([1])))
+        exp = PhiExpansion(IntPoly([1, 1, 1]), ((16,), (2,), (1,)))
         # a part below the side
         with pytest.raises(ValueError, match="does not bound"):
             residual_polynomial(exp, Side((0, 4), (2, 0)), 2)
@@ -799,6 +825,6 @@ class TestKernelOracles:
             with pytest.raises(ValueError, match="modulus 4 is not prime"):
                 route(exp, Side((0, 4), (2, 0)), 4)
         # a side that ends below the x-axis, where no part's valuation lies
-        below = PhiExpansion(IntPoly([1, 0, 1]), (IntPoly([3]), IntPoly([1]), IntPoly([1])))
+        below = PhiExpansion(IntPoly([1, 0, 1]), ((3,), (1,), (1,)))
         with pytest.raises(ValueError, match="endpoints"):
             residual_polynomial(below, Side((0, 1), (2, -1)), 3)

@@ -18,6 +18,10 @@ from oracles import (
     discriminant,
     family_condition,
     is_canonical,
+    poly_add,
+    poly_divmod,
+    poly_exact_div,
+    poly_mul,
     polygon_index_by_columns,
 )
 
@@ -180,19 +184,19 @@ class TestClosedFormPolygon:
             data = purefield.closed_form_polygon(n, m, p, phi)
             q = p**data.r
             U, T = cofactor_pair(data.u, m, p, phi)
-            assert IntPoly.binomial(data.u, m) == data.phi * U + T.scale(p)
-            assert data.A0 == data.R.scale(p ** (data.r + 1)) + IntPoly.const(m**q - m)
+            assert IntPoly.binomial(data.u, m).coeffs == poly_add(poly_mul(data.phi.coeffs, U), T, p)
+            assert data.A0 == poly_add((m**q - m,), data.R, p ** (data.r + 1))
             # the exact correction polynomial H, built in full; R is its remainder mod phi
-            pT = T.scale(p)
-            binomial_sum = IntPoly.zero()
+            pT = poly_add((), T, p)
+            binomial_sum = ()
             for j in range(q - 1):
-                power = IntPoly.const(1)
+                power = (1,)
                 for _ in range(q - j):
-                    power = power * pT
-                binomial_sum = binomial_sum + power.scale(math.comb(q, j) * m**j)
-            H = T.scale(m ** (q - 1)) + binomial_sum.exact_div_scalar(p ** (data.r + 1))
-            V, R = divmod(H, phi)
-            assert H == V * phi + R
+                    power = poly_mul(power, pT)
+                binomial_sum = poly_add(binomial_sum, power, math.comb(q, j) * m**j)
+            H = poly_add(poly_add((), T, m ** (q - 1)), poly_exact_div(binomial_sum, p ** (data.r + 1)))
+            V, R = poly_divmod(H, phi.coeffs)
+            assert H == poly_add(poly_mul(V, phi.coeffs), R)
             assert R == data.R, (n, m, p, phi)
 
     def test_r3_matches_horner_oracle(self):
@@ -207,7 +211,7 @@ class TestClosedFormPolygon:
             data = purefield.closed_form_polygon(n, m, p, phi)
             assert data.r == 3
             U, T = cofactor_pair(data.u, m, p, phi)
-            assert IntPoly.binomial(data.u, m) == data.phi * U + T.scale(p)
+            assert IntPoly.binomial(data.u, m).coeffs == poly_add(poly_mul(data.phi.coeffs, U), T, p)
             assert closed_form_horner(m, p, 3, phi, T) == (data.R, data.A0, data.nu0, data.points), (n, m, p, phi)
             assert all(is_canonical(a) for a in (data.phi, data.R, data.A0))
 
@@ -220,6 +224,12 @@ class TestClosedFormPolygon:
         data = purefield.closed_form_polygon(9, 7, 3, bumped)
         direct = principal_polygon(phi_expand(IntPoly.binomial(9, 7), bumped), 3)
         assert data.hull() == direct
+
+    def test_inexact_correction_rejected(self, monkeypatch):
+        # p^(r+1) divides S - m^q by the binomial theorem; an S that breaks it raises rather than rounds R
+        monkeypatch.setattr(purefield, "_powmod", lambda *a: [2])  # 2 - 7^9 = 1 mod 27
+        with pytest.raises(ValueError, match="not divisible by 27"):
+            purefield.closed_form_polygon(9, 7, 3, IntPoly([5, 1]))
 
     def test_lift_matches_cofactor_split(self):
         # the bump read off (x^u - m) mod phi against the rule on the cofactor T of x^u - m = phi U + p T;
@@ -236,8 +246,8 @@ class TestClosedFormPolygon:
                         assert multiplicity == 1, (u, m, p, phi_bar)
                         lift = IntPoly.lift(phi_bar)
                         _, T = cofactor_pair(u, m, p, lift)
-                        bump = (T.reduce_mod(p) % phi_bar).is_zero
-                        want = lift + IntPoly.const(p) if bump else lift
+                        bump = (fppoly.FpPoly(p, T) % phi_bar).is_zero
+                        want = IntPoly(poly_add(lift.coeffs, (p,))) if bump else lift
                         assert purefield.closed_form_lift(u, m, p, phi_bar) == want, (u, m, p, phi_bar)
                         checked += 1
         assert checked > 1000
@@ -288,7 +298,7 @@ class TestClosedFormPolygon:
                             for phi in (lift, IntPoly.lift(phi_bar)):
                                 try:
                                     d = purefield.closed_form_polygon(u * p**r, m, p, phi)
-                                    out = (d.R.coeffs, d.A0.coeffs, d.nu0, d.points)
+                                    out = (d.R, d.A0, d.nu0, d.points)
                                 except ValueError as e:
                                     out = str(e)
                                 lines.append(f"{u} {m} {p} {r} {phi.coeffs} {out}")
