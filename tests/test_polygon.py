@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 from fractions import Fraction
@@ -50,6 +51,15 @@ class TestIntPoly:
         # 1.5 is named, never truncated to 1
         with pytest.raises(ValueError, match="1.5 is not an integer"):
             IntPoly([1.5, 1])
+
+    def test_valuation(self):
+        # the valuation of an IntPoly's content, read off its coefficients
+        assert polygon._content_valuation(IntPoly([12, 8, 2]).coeffs, 2) == 1
+        assert polygon._content_valuation(IntPoly([0, 8]).coeffs, 2) == 3
+        with pytest.raises(ValueError):
+            arith.padic_valuation(2, math.gcd(*IntPoly().coeffs))
+        with pytest.raises(ValueError, match="not prime"):
+            arith.padic_valuation(4, math.gcd(*IntPoly([4, 8]).coeffs))
 
 
 class TestOracleRing:
