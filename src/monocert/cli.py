@@ -283,9 +283,13 @@ def _cmd_polygon(args) -> dict:
     fbar = F.reduce_mod(args.p)
     if args.phi:
         phi = parse_poly(args.phi)
-        if not (fbar % phi.reduce_mod(args.p)).is_zero:
+        phi_bar = phi.reduce_mod(args.p)
+        if not (fbar % phi_bar).is_zero:
             raise ValueError(f"{args.phi} is not a factor of the polynomial mod {args.p}")
-        developments = [phi_expand(F, phi)]
+        # developed through part mult, where the polygon ends, as on the lifted route; a phi_bar that is no
+        # irreducible factor has no mult, and its one part goes to principal_polygon, which rejects it
+        mult = dict(fppoly.factor(fbar).factors).get(phi_bar, 0)
+        developments = [phi_expand(F, phi, count=mult + 1)]
     else:  # lifted and developed as ore_split does: moved by p while the lift divides F over Z, through part mult
         developments = [ore._develop(F, fb, args.p, count=mult + 1) for fb, mult in fppoly.factor(fbar).factors]
     entries = []

@@ -75,10 +75,6 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -278,8 +274,15 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     When phi = x^d - c (every linear phi among them), no division is done:
     a term f_i x^i with i = k*d + r is x^r (phi + c)^k, so by the binomial
     theorem it adds f_i C(k, j) c^(k-j) to coefficient r of parts[j] for
-    j <= k, starting at j = min(k, count - 1); for x^n - m that is O(n)
-    integer operations.  When F = x^n + f0 and phi = x^2 + a1 x + a0 with
+    j <= k, starting at j = min(k, count - 1).  For F = x^n + f0 with
+    n = k*d + r that is one column: part j is the single term
+    C(k, j) c^(k-j) x^r, built as it is going down j, and part 0 also holds
+    f0, which may share position 0 with the term or cancel it (x^6 - 64
+    over x - 2 has part 0 = ()); for x^n - m that is O(count) integer
+    operations.  Any other F adds its terms into a count x d accumulator,
+    which still costs no division (x^750 + 3x + 5 over x + 3: 0.7 ms,
+    against 67 ms by repeated division; Python 3.11, one core of a 2-vCPU
+    Xeon).  When F = x^n + f0 and phi = x^2 + a1 x + a0 with
     a0 != 0 and a1^2 != 4 a0, no division is done either: part 0 comes
     from n steps of the two-term recurrence of 1/(1 + a1 t + a0 t^2), and
     each later part from the one before by a fixed number of products and
@@ -309,8 +312,24 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
     elif count < 1:
         raise ValueError("count must be positive")
     count = min(count, full)
+    n = F.degree
+    binomial = n >= 1 and not any(F.coeffs[1:n])  # F = x^n + f0
     if not any(phi.coeffs[1:d]):
         c = -phi.coeffs[0]
+        if binomial:
+            # x^n = x^r (phi + c)^k for n = k d + r: part j is C(k, j) c^(k-j) x^r, and part 0 also holds f0
+            k, r = divmod(n, d)
+            pad = (0,) * r
+            parts = [()] * count
+            term = math.comb(k, count - 1) * c ** (k - count + 1)
+            for j in range(count - 1, 0, -1):
+                if term:
+                    parts[j] = pad + (term,)
+                term = term * (c * j) // (k - j + 1)
+            row = [*pad, term]
+            row[0] += F.coeffs[0]
+            parts[0] = tuple(_trimmed(row))
+            return PhiExpansion._wrap(phi, tuple(parts))
         acc = [[0] * d for _ in range(count)]
         for i, f in enumerate(F.coeffs):
             if not f:
@@ -324,8 +343,7 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 if not term:
                     break
         return PhiExpansion._wrap(phi, tuple(tuple(_trimmed(row)) for row in acc))
-    n = F.degree
-    if d == 2 and n >= 1 and not any(F.coeffs[1:n]):
+    if d == 2 and binomial:
         a0, a1 = phi.coeffs[0], phi.coeffs[1]
         disc = a1 * a1 - 4 * a0
         if a0 and disc:
@@ -346,7 +364,7 @@ def phi_expand(F: IntPoly, phi: IntPoly, *, count: int | None = None) -> PhiExpa
                 v = -((n - 2 * j - 1) * v + a1 * (j + 1) * u) // (2 * a0 * (j + 1))
                 parts.append(tuple(_trimmed([u + a1 * v, v])))
             return PhiExpansion._wrap(phi, tuple(parts))
-    if d >= 3 and not any(F.coeffs[1:n]) and count * (2 * n - d * (count - 1)) > 2 * _EULER_MIN_QUOTIENT:
+    if d >= 3 and binomial and count * (2 * n - d * (count - 1)) > 2 * _EULER_MIN_QUOTIENT:
         parts = _euler_parts(n, phi.coeffs, count)
         if parts is not None:
             parts[0][0] += F.coeffs[0]

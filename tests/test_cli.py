@@ -5,9 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from monocert import __version__, purefield
+from monocert import __version__, cli, purefield
 from monocert.cli import main, parse_poly, render_ascii
-from monocert.polygon import IntPoly, principal_from_points
+from monocert.polygon import IntPoly, phi_expand, polygon_index, principal_from_points, principal_polygon
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,29 @@ class TestPolygonCommand:
     def test_explicit_phi_is_not_moved(self, capsys):
         code, _, err = run_cli(capsys, "polygon", "--n", "3", "--m", "-5", "--p", "7", "--phi", "x^3+5")
         assert code == 2 and "base divides the polynomial over Z" in err
+
+    def test_reducible_phi_rejected(self, capsys):
+        # x^2 + 1 = (x + 1)^2 mod 2 divides x^4 - 17 mod 2 but is no irreducible factor of it
+        code, out, err = run_cli(capsys, "polygon", "--n", "4", "--m", "17", "--p", "2", "--phi", "x^2+1")
+        assert code == 2 and out == ""
+        assert err == "error: x^2 + 1 (mod 2) is not irreducible\n"
+
+    def test_phi_developed_through_part_mult(self, capsys, monkeypatch):
+        # x + 5 divides x^12005 - 18 mod 7 to the power 2401: parts 0..2401 give the polygon of the full development
+        F, phi = IntPoly.binomial(12005, 18), IntPoly([5, 1])
+        poly = principal_polygon(phi_expand(F, phi), 7)
+        counts = []
+
+        def counted(F, phi, count):
+            counts.append(count)
+            return phi_expand(F, phi, count=count)
+
+        monkeypatch.setattr(cli, "phi_expand", counted)
+        doc = run_json(capsys, "polygon", "--n", "12005", "--m", "18", "--p", "7", "--phi", "x+5", "--render", "none")
+        assert counts == [2402]
+        [entry] = doc["polygons"]
+        assert entry["polygon"] == cli.polygon_render_model(poly)
+        assert entry["index"] == polygon_index(poly, 1) == 392
 
     def test_ascii_width_eight_sides(self):
         vertices = [(0, 50), (1, 42), (3, 30), (6, 21), (10, 14), (15, 9), (21, 5), (28, 2), (36, 0)]

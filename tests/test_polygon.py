@@ -226,12 +226,22 @@ class TestPhiExpandOracle:
     @example(F=IntPoly.binomial(100, 5), phi=IntPoly([0, 3, 2, 1]))  # phi(0) = 0: divided
     @example(F=IntPoly.binomial(100, 5), phi=IntPoly([1, 0, 2, 0, 1]))  # (x^2 + 1)^2, Res(phi, x phi') = 0: divided
     @example(F=IntPoly([-5, 3] + [0] * 98 + [1]), phi=_EULER_PHIS[4])  # x^100 + 3x - 5 is no x^n + f0: divided
+    # x^n + f0 over x^d - c, one term C(k, j) c^(k-j) x^r per part for n = k d + r, and f0 in part 0
+    @example(F=IntPoly.binomial(2, -3), phi=IntPoly.binomial(3, 2))  # n < d: one part, x^2 + 3
+    @example(F=IntPoly.binomial(7, -5), phi=IntPoly.binomial(2, 0))  # c = 0: parts 5, 0, 0, x; prefixes hold zeros
+    @example(F=IntPoly.binomial(6, 64), phi=IntPoly([-2, 1]))  # f0 = -c^k: part 0 = ()
+    @example(F=IntPoly.binomial(9, 0), phi=IntPoly.binomial(3, -2))  # f0 = 0
+    @example(F=IntPoly.binomial(9, -4), phi=IntPoly.binomial(3, -5))  # c = -5, k = 3: signs alternate
+    @example(F=IntPoly.binomial(7, 5), phi=IntPoly.binomial(2, 3))  # r = 1, f0 = -5: part 0 = -5 + 27x
     def test_matches_repeated_division(self, F, phi):
+        want = _naive_phi_expand(F, phi)
         exp = phi_expand(F, phi)
-        assert exp.parts == _naive_phi_expand(F, phi)
+        assert exp.parts == want
         assert all(is_canonical(a) for a in exp.parts)
         assert len(exp.parts) == F.degree // phi.degree + 1
         assert decode(exp) == F
+        for count in (1, 2):
+            assert phi_expand(F, phi, count=count).parts == want[:count]
 
     @given(
         F=st.one_of(_binomial_fs, _trinomial_fs, _dense_fs),
@@ -398,6 +408,20 @@ class TestTrustedConstructor:
     @example(case=(IntPoly.binomial(41, 44), IntPoly([0, 3, 1])), count=None)
     @example(case=(IntPoly.binomial(41, 44), IntPoly([4, 4, 1])), count=None)
     @example(case=(IntPoly([-5, 3] + [0] * 98 + [1]), _EULER_PHIS[4]), count=None)
+    # x^n + f0 over x^d - c: n < d, c = 0 below k + 1 parts, part 0 = () for f0 = -c^k, f0 = 0, c < 0 with k
+    # odd, and a part 0 of two coefficients (r = 1, f0 != 0)
+    @example(case=(IntPoly.binomial(2, -3), IntPoly.binomial(3, 2)), count=None)
+    @example(case=(IntPoly.binomial(2, -3), IntPoly.binomial(3, 2)), count=1)
+    @example(case=(IntPoly.binomial(7, -5), IntPoly.binomial(2, 0)), count=None)
+    @example(case=(IntPoly.binomial(7, -5), IntPoly.binomial(2, 0)), count=2)
+    @example(case=(IntPoly.binomial(6, 64), IntPoly([-2, 1])), count=None)
+    @example(case=(IntPoly.binomial(6, 64), IntPoly([-2, 1])), count=1)
+    @example(case=(IntPoly.binomial(9, 0), IntPoly.binomial(3, -2)), count=None)
+    @example(case=(IntPoly.binomial(9, 0), IntPoly.binomial(3, -2)), count=2)
+    @example(case=(IntPoly.binomial(9, -4), IntPoly.binomial(3, -5)), count=None)
+    @example(case=(IntPoly.binomial(9, -4), IntPoly.binomial(3, -5)), count=2)
+    @example(case=(IntPoly.binomial(7, 5), IntPoly.binomial(2, 3)), count=None)
+    @example(case=(IntPoly.binomial(7, 5), IntPoly.binomial(2, 3)), count=1)
     def test_phi_expand_routes_match_public_constructor(self, case, count):
         # phi_expand returns through the unchecked PhiExpansion._wrap; the checked constructor takes the same parts
         F, phi = case
